@@ -3,13 +3,19 @@
 //! Everything downstream — chase segments, interpretations, ground programs —
 //! identifies a ground atom by its `AtomId`, so set membership, truth values
 //! and indexes are all flat arrays.
+//!
+//! Atom ids are dense and numbered in first-intern order. The
+//! [`AtomStore`] keeps every atom once, in flat arenas: a predicate array,
+//! one shared argument arena, and an open-addressing id table probed by
+//! `(PredId, &[TermId])` (see `intern.rs`). [`AtomStore::node`]
+//! returns an [`AtomNode`] that borrows its arguments from the arena.
+//! Interning a known atom allocates nothing, and cloning the store copies
+//! four flat buffers.
 
-use crate::fxhash::FxHashMap;
+use crate::intern::{hash_key, IdTable, SliceArena};
 use crate::schema::PredId;
 use crate::term::TermId;
-use std::borrow::Borrow;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// An interned ground atom.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -35,70 +41,22 @@ impl fmt::Debug for AtomId {
     }
 }
 
-/// Structure of a ground atom: a predicate applied to ground terms.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct AtomNode {
+/// Structure of a ground atom, borrowed from its [`AtomStore`]: a
+/// predicate applied to ground terms.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct AtomNode<'a> {
     /// The predicate symbol.
     pub pred: PredId,
     /// Ground arguments, of length equal to the predicate's arity.
-    pub args: Box<[TermId]>,
+    pub args: &'a [TermId],
 }
-
-/// Borrowed view of an atom key, so the interning table can be probed with
-/// `(PredId, &[TermId])` without building an owned [`AtomNode`] (and its
-/// `Box`) per probe. The `Borrow<dyn AtomKey>` bridge is the stable-Rust
-/// equivalent of a raw-entry lookup.
-trait AtomKey {
-    fn key(&self) -> (PredId, &[TermId]);
-}
-
-impl AtomKey for AtomNode {
-    #[inline]
-    fn key(&self) -> (PredId, &[TermId]) {
-        (self.pred, &self.args)
-    }
-}
-
-struct BorrowedAtom<'a>(PredId, &'a [TermId]);
-
-impl AtomKey for BorrowedAtom<'_> {
-    #[inline]
-    fn key(&self) -> (PredId, &[TermId]) {
-        (self.0, self.1)
-    }
-}
-
-impl<'a> Borrow<dyn AtomKey + 'a> for AtomNode {
-    #[inline]
-    fn borrow(&self) -> &(dyn AtomKey + 'a) {
-        self
-    }
-}
-
-// Must agree with `#[derive(Hash)]` on `AtomNode` (field order: pred, then
-// args, where `Box<[TermId]>` hashes like the underlying slice), otherwise
-// borrowed probes would miss entries inserted under owned keys.
-impl Hash for dyn AtomKey + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let (pred, args) = self.key();
-        pred.hash(state);
-        args.hash(state);
-    }
-}
-
-impl PartialEq for dyn AtomKey + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for dyn AtomKey + '_ {}
 
 /// Hash-consing store for ground atoms.
 #[derive(Clone, Debug, Default)]
 pub struct AtomStore {
-    nodes: Vec<AtomNode>,
-    map: FxHashMap<AtomNode, AtomId>,
+    preds: Vec<PredId>,
+    args: SliceArena<TermId>,
+    table: IdTable,
 }
 
 impl AtomStore {
@@ -107,76 +65,71 @@ impl AtomStore {
         Self::default()
     }
 
-    /// Interns the atom `pred(args…)`.
+    /// Interns the atom `pred(args…)`. A hit allocates nothing; only a new
+    /// atom copies `args` into the arena.
     ///
     /// Arity agreement with the predicate declaration is the caller's
     /// responsibility; [`crate::universe::Universe::atom`] performs the check.
-    pub fn intern(&mut self, pred: PredId, args: impl Into<Box<[TermId]>>) -> AtomId {
-        let args = args.into();
-        if let Some(id) = self.lookup(pred, &args) {
+    pub fn intern(&mut self, pred: PredId, args: &[TermId]) -> AtomId {
+        let hash = hash_key(pred.index() as u64, args);
+        if let Some(id) = self.find(hash, pred, args) {
             return id;
         }
-        self.insert_new(AtomNode { pred, args })
-    }
-
-    /// Interns `pred(args…)` from a borrowed argument slice: the hit path —
-    /// the overwhelmingly common case during chase saturation, where the
-    /// same ground side atoms are re-instantiated per rule match — performs
-    /// **zero** allocations; only a genuinely new atom copies `args`.
-    pub fn intern_ref(&mut self, pred: PredId, args: &[TermId]) -> AtomId {
-        if let Some(id) = self.lookup(pred, args) {
-            return id;
-        }
-        self.insert_new(AtomNode {
-            pred,
-            args: args.into(),
-        })
-    }
-
-    fn insert_new(&mut self, node: AtomNode) -> AtomId {
-        let id = AtomId(crate::dense_u32(self.nodes.len(), "atom store"));
-        self.nodes.push(node.clone());
-        self.map.insert(node, id);
-        id
+        let id = crate::dense_u32(self.preds.len(), "atom store");
+        self.preds.push(pred);
+        self.args.push(args, "atom arguments");
+        self.table.insert_new(hash, id);
+        AtomId(id)
     }
 
     /// Looks up an atom without interning it. Allocation-free.
     pub fn lookup(&self, pred: PredId, args: &[TermId]) -> Option<AtomId> {
-        let probe = BorrowedAtom(pred, args);
-        self.map.get(&probe as &dyn AtomKey).copied()
+        self.find(hash_key(pred.index() as u64, args), pred, args)
+    }
+
+    fn find(&self, hash: u64, pred: PredId, args: &[TermId]) -> Option<AtomId> {
+        self.table
+            .find(hash, |id| {
+                let i = id as usize;
+                self.preds[i] == pred && self.args.get(i) == args
+            })
+            .map(AtomId)
     }
 
     /// The structure of an interned atom.
     #[inline]
-    pub fn node(&self, id: AtomId) -> &AtomNode {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: AtomId) -> AtomNode<'_> {
+        AtomNode {
+            pred: self.pred(id),
+            args: self.args(id),
+        }
     }
 
     /// The predicate of an interned atom.
     #[inline]
     pub fn pred(&self, id: AtomId) -> PredId {
-        self.nodes[id.index()].pred
+        self.preds[id.index()]
     }
 
     /// The arguments of an interned atom.
     #[inline]
     pub fn args(&self, id: AtomId) -> &[TermId] {
-        &self.nodes[id.index()].args
+        self.args.get(id.index())
     }
 
     /// Number of interned atoms.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.preds.len()
     }
 
     /// True iff the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.preds.is_empty()
     }
 
     /// Iterates over all interned atom ids in allocation order.
     pub fn ids(&self) -> impl Iterator<Item = AtomId> {
-        (0..self.nodes.len() as u32).map(AtomId)
+        (0..self.preds.len() as u32).map(AtomId)
     }
 }
 
@@ -192,10 +145,10 @@ mod tests {
         let q = PredId::from_index(1);
         let t0 = TermId::from_index(0);
         let t1 = TermId::from_index(1);
-        let a1 = store.intern(p, vec![t0, t1]);
-        let a2 = store.intern(p, vec![t0, t1]);
-        let a3 = store.intern(p, vec![t1, t0]);
-        let a4 = store.intern(q, vec![t0, t1]);
+        let a1 = store.intern(p, &[t0, t1]);
+        let a2 = store.intern(p, &[t0, t1]);
+        let a3 = store.intern(p, &[t1, t0]);
+        let a4 = store.intern(q, &[t0, t1]);
         assert_eq!(a1, a2);
         assert_ne!(a1, a3);
         assert_ne!(a1, a4);
@@ -208,7 +161,7 @@ mod tests {
         let p = PredId::from_index(0);
         let t0 = TermId::from_index(0);
         assert_eq!(store.lookup(p, &[t0]), None);
-        let id = store.intern(p, vec![t0]);
+        let id = store.intern(p, &[t0]);
         assert_eq!(store.lookup(p, &[t0]), Some(id));
         assert_eq!(store.len(), 1);
     }
@@ -218,7 +171,7 @@ mod tests {
         let mut store = AtomStore::new();
         let p = PredId::from_index(3);
         let t0 = TermId::from_index(7);
-        let id = store.intern(p, vec![t0]);
+        let id = store.intern(p, &[t0]);
         assert_eq!(store.pred(id), p);
         assert_eq!(store.args(id), &[t0]);
     }

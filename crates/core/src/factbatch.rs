@@ -131,15 +131,12 @@ impl RelationWriter<'_> {
             for (slot, name) in args.iter_mut().zip(row) {
                 *slot = self.universe.constant(name);
             }
-            let atom = self
-                .universe
-                .atoms
-                .intern_ref(self.pred, &args[..row.len()]);
+            let atom = self.universe.atoms.intern(self.pred, &args[..row.len()]);
             self.rows.push(atom);
             Ok(atom)
         } else {
             let args: Vec<TermId> = row.iter().map(|c| self.universe.constant(c)).collect();
-            let atom = self.universe.atoms.intern_ref(self.pred, &args);
+            let atom = self.universe.atoms.intern(self.pred, &args);
             self.rows.push(atom);
             Ok(atom)
         }
@@ -158,7 +155,7 @@ impl RelationWriter<'_> {
                 });
             }
         }
-        let atom = self.universe.atoms.intern_ref(self.pred, row);
+        let atom = self.universe.atoms.intern(self.pred, row);
         self.rows.push(atom);
         Ok(atom)
     }

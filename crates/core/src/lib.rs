@@ -27,6 +27,7 @@ pub mod budget;
 pub mod error;
 pub mod factbatch;
 pub mod fxhash;
+mod intern;
 pub mod interp;
 pub mod normalize;
 pub mod program;

@@ -192,30 +192,37 @@ impl SkolemRule {
     }
 
     /// Instantiates the head under a total binding of the rule's variables,
-    /// interning any Skolem terms it produces.
+    /// interning any Skolem terms it produces. The ground arguments are
+    /// staged in `scratch` (cleared first; each Skolem term's arguments sit
+    /// at its tail until interned), so re-deriving a known head allocates
+    /// nothing. Callers keep one scratch buffer alive across a loop.
     // Skolem arities are fixed when the rule is skolemized, so the
     // interning call cannot see an arity mismatch.
     #[allow(clippy::expect_used)]
-    pub fn instantiate_head(
+    pub fn instantiate_head_into(
         &self,
         universe: &mut Universe,
         binding: &[TermId],
+        scratch: &mut Vec<TermId>,
     ) -> crate::atom::AtomId {
-        let args: Vec<TermId> = self
-            .head_args
-            .iter()
-            .map(|t| match t {
+        scratch.clear();
+        for t in &self.head_args {
+            let arg = match t {
                 HeadTerm::Const(c) => *c,
                 HeadTerm::Var(v) => binding[v.index()],
                 HeadTerm::Skolem(f, vars) => {
-                    let sk_args: Vec<TermId> = vars.iter().map(|v| binding[v.index()]).collect();
-                    universe
-                        .skolem_term(*f, sk_args)
-                        .expect("skolem arity fixed at construction")
+                    let base = scratch.len();
+                    scratch.extend(vars.iter().map(|v| binding[v.index()]));
+                    let term = universe
+                        .skolem_term(*f, &scratch[base..])
+                        .expect("skolem arity fixed at construction");
+                    scratch.truncate(base);
+                    term
                 }
-            })
-            .collect();
-        universe.atoms.intern(self.head_pred, args)
+            };
+            scratch.push(arg);
+        }
+        universe.atoms.intern(self.head_pred, scratch)
     }
 }
 
@@ -365,13 +372,14 @@ mod tests {
         let rule = skolemize_tgd(&mut u, &tgd).unwrap();
         let zero = u.constant("0");
         let one = u.constant("1");
-        let head = rule.instantiate_head(&mut u, &[zero, zero, one]);
+        let mut scratch = Vec::new();
+        let head = rule.instantiate_head_into(&mut u, &[zero, zero, one], &mut scratch);
         // Head is R(0,1,sk(0,0,1)).
         let rendered = u.display_atom(head).to_string();
         assert!(rendered.starts_with("R(0,1,"), "{rendered}");
         assert!(rendered.contains("(0,0,1)"), "{rendered}");
         // Instantiating twice yields the same interned atom (UNA).
-        let head2 = rule.instantiate_head(&mut u, &[zero, zero, one]);
+        let head2 = rule.instantiate_head_into(&mut u, &[zero, zero, one], &mut scratch);
         assert_eq!(head, head2);
     }
 

@@ -140,7 +140,7 @@ pub fn instantiate_atom_into(
         RTerm::Const(c) => *c,
         RTerm::Var(v) => binding[v.index()],
     }));
-    universe.atoms.intern_ref(pattern.pred, scratch)
+    universe.atoms.intern(pattern.pred, scratch)
 }
 
 #[cfg(test)]

@@ -4,9 +4,17 @@
 //! a [`SymbolTable`] and from then on handled as copyable 4-byte [`Symbol`]
 //! ids. All hot-path structures (terms, atoms, rules) store symbols, never
 //! strings.
+//!
+//! Symbols are dense and numbered in first-intern order. The table keeps
+//! every name once, back to back in one `String`, with an end offset per
+//! symbol and an open-addressing id table probed by `&str`
+//! (see `intern.rs`). Interning a known name allocates nothing, and
+//! cloning the table copies three flat buffers.
 
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxHasher;
+use crate::intern::{span, IdTable};
 use std::fmt;
+use std::hash::Hasher;
 
 /// An interned string.
 ///
@@ -30,11 +38,20 @@ impl fmt::Debug for Symbol {
     }
 }
 
-/// Bidirectional string ↔ [`Symbol`] map.
+/// Bidirectional string ↔ [`Symbol`] map over one flat text buffer.
 #[derive(Clone, Debug, Default)]
 pub struct SymbolTable {
-    map: FxHashMap<Box<str>, Symbol>,
-    names: Vec<Box<str>>,
+    /// Every interned name, concatenated in symbol order.
+    text: String,
+    /// End offset of each symbol's name in `text`.
+    ends: Vec<u32>,
+    table: IdTable,
+}
+
+fn hash_name(name: &str) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(name.as_bytes());
+    h.finish()
 }
 
 impl SymbolTable {
@@ -45,34 +62,43 @@ impl SymbolTable {
 
     /// Interns `name`, returning its symbol (stable across repeated calls).
     pub fn intern(&mut self, name: &str) -> Symbol {
-        if let Some(&sym) = self.map.get(name) {
+        let hash = hash_name(name);
+        if let Some(sym) = self.find(hash, name) {
             return sym;
         }
-        let sym = Symbol(crate::dense_u32(self.names.len(), "symbol table"));
-        self.names.push(name.into());
-        self.map.insert(name.into(), sym);
-        sym
+        let id = crate::dense_u32(self.ends.len(), "symbol table");
+        self.text.push_str(name);
+        self.ends
+            .push(crate::dense_u32(self.text.len(), "symbol text"));
+        self.table.insert_new(hash, id);
+        Symbol(id)
     }
 
     /// Looks up an already-interned name without inserting.
     pub fn lookup(&self, name: &str) -> Option<Symbol> {
-        self.map.get(name).copied()
+        self.find(hash_name(name), name)
+    }
+
+    fn find(&self, hash: u64, name: &str) -> Option<Symbol> {
+        self.table
+            .find(hash, |id| self.resolve(Symbol(id)) == name)
+            .map(Symbol)
     }
 
     /// Resolves a symbol back to its string.
     #[inline]
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.names[sym.index()]
+        &self.text[span(&self.ends, sym.index())]
     }
 
     /// Number of interned symbols.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// True iff nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 }
 

@@ -7,8 +7,16 @@
 //! values** (Example 4 relies on `f(t1,t2,t3) ≠ 1` by construction). We
 //! therefore hash-cons ground terms: equality of values is equality of
 //! [`TermId`]s.
+//!
+//! Term ids are dense and numbered in first-intern order. The
+//! [`TermStore`] keeps every term once, in flat arenas: a head array
+//! (constant name or Skolem function), one shared argument arena, a depth
+//! array, and an open-addressing id table probed by `(head, &[TermId])`
+//! (see `intern.rs`). [`TermStore::node`] returns a [`TermNode`]
+//! that borrows its arguments from the arena. Interning a known term
+//! allocates nothing, and cloning the store copies a few flat buffers.
 
-use crate::fxhash::FxHashMap;
+use crate::intern::{hash_key, IdTable, SliceArena};
 use crate::symbol::Symbol;
 use std::fmt;
 
@@ -58,9 +66,9 @@ impl fmt::Debug for SkolemId {
     }
 }
 
-/// Structure of a ground term.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub enum TermNode {
+/// Structure of a ground term, borrowed from its [`TermStore`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum TermNode<'a> {
     /// A data constant from `∆`, identified by its interned name.
     Const(Symbol),
     /// A labelled null from `∆_N`: a Skolem function applied to ground terms.
@@ -68,8 +76,27 @@ pub enum TermNode {
         /// The Skolem function symbol.
         f: SkolemId,
         /// Its ground arguments.
-        args: Box<[TermId]>,
+        args: &'a [TermId],
     },
+}
+
+/// The head of a stored term; its arguments live in the shared arena.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Head {
+    Const(Symbol),
+    Skolem(SkolemId),
+}
+
+impl Head {
+    /// Hash input: constants and Skolem functions live in disjoint halves,
+    /// so `c` and a nullary `f()` with equal raw ids hash apart.
+    #[inline]
+    fn key(self) -> u64 {
+        match self {
+            Head::Const(c) => c.index() as u64,
+            Head::Skolem(f) => (1 << 32) | f.index() as u64,
+        }
+    }
 }
 
 /// Hash-consing store for ground terms.
@@ -79,9 +106,10 @@ pub enum TermNode {
 /// the terms containing them.
 #[derive(Clone, Debug, Default)]
 pub struct TermStore {
-    nodes: Vec<TermNode>,
+    heads: Vec<Head>,
+    args: SliceArena<TermId>,
     depth: Vec<u32>,
-    map: FxHashMap<TermNode, TermId>,
+    table: IdTable,
 }
 
 impl TermStore {
@@ -92,24 +120,22 @@ impl TermStore {
 
     /// Interns a constant.
     pub fn constant(&mut self, name: Symbol) -> TermId {
-        self.intern(TermNode::Const(name))
+        self.intern(Head::Const(name), &[])
     }
 
     /// Interns a Skolem term. All `args` must already belong to this store.
-    pub fn skolem(&mut self, f: SkolemId, args: impl Into<Box<[TermId]>>) -> TermId {
-        self.intern(TermNode::Skolem {
-            f,
-            args: args.into(),
-        })
+    pub fn skolem(&mut self, f: SkolemId, args: &[TermId]) -> TermId {
+        self.intern(Head::Skolem(f), args)
     }
 
-    fn intern(&mut self, node: TermNode) -> TermId {
-        if let Some(&id) = self.map.get(&node) {
+    fn intern(&mut self, head: Head, args: &[TermId]) -> TermId {
+        let hash = hash_key(head.key(), args);
+        if let Some(id) = self.find(hash, head, args) {
             return id;
         }
-        let depth = match &node {
-            TermNode::Const(_) => 0,
-            TermNode::Skolem { args, .. } => {
+        let depth = match head {
+            Head::Const(_) => 0,
+            Head::Skolem(_) => {
                 1 + args
                     .iter()
                     .map(|a| self.depth[a.index()])
@@ -117,32 +143,45 @@ impl TermStore {
                     .unwrap_or(0)
             }
         };
-        let id = TermId(crate::dense_u32(self.nodes.len(), "term store"));
-        self.nodes.push(node.clone());
+        let id = crate::dense_u32(self.heads.len(), "term store");
+        self.heads.push(head);
+        self.args.push(args, "term arguments");
         self.depth.push(depth);
-        self.map.insert(node, id);
-        id
+        self.table.insert_new(hash, id);
+        TermId(id)
+    }
+
+    fn find(&self, hash: u64, head: Head, args: &[TermId]) -> Option<TermId> {
+        self.table
+            .find(hash, |id| {
+                let i = id as usize;
+                self.heads[i] == head && self.args.get(i) == args
+            })
+            .map(TermId)
     }
 
     /// Looks up the constant with the given name without interning it.
     pub fn lookup_const(&self, name: Symbol) -> Option<TermId> {
-        self.map.get(&TermNode::Const(name)).copied()
+        let head = Head::Const(name);
+        self.find(hash_key(head.key(), &[]), head, &[])
     }
 
     /// Looks up a Skolem term without interning it.
     pub fn lookup_skolem(&self, f: SkolemId, args: &[TermId]) -> Option<TermId> {
-        self.map
-            .get(&TermNode::Skolem {
-                f,
-                args: args.into(),
-            })
-            .copied()
+        let head = Head::Skolem(f);
+        self.find(hash_key(head.key(), args), head, args)
     }
 
     /// The structure of a term.
     #[inline]
-    pub fn node(&self, id: TermId) -> &TermNode {
-        &self.nodes[id.index()]
+    pub fn node(&self, id: TermId) -> TermNode<'_> {
+        match self.heads[id.index()] {
+            Head::Const(c) => TermNode::Const(c),
+            Head::Skolem(f) => TermNode::Skolem {
+                f,
+                args: self.args.get(id.index()),
+            },
+        }
     }
 
     /// Nesting depth of Skolem applications (constants have depth 0).
@@ -154,7 +193,7 @@ impl TermStore {
     /// True iff the term is a data constant (an element of `∆`).
     #[inline]
     pub fn is_constant(&self, id: TermId) -> bool {
-        matches!(self.nodes[id.index()], TermNode::Const(_))
+        matches!(self.heads[id.index()], Head::Const(_))
     }
 
     /// True iff the term is a labelled null (an element of `∆_N`).
@@ -165,17 +204,17 @@ impl TermStore {
 
     /// Number of interned terms.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.heads.len()
     }
 
     /// True iff the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.heads.is_empty()
     }
 
     /// Iterates over all interned term ids in allocation order.
     pub fn ids(&self) -> impl Iterator<Item = TermId> {
-        (0..self.nodes.len() as u32).map(TermId)
+        (0..self.heads.len() as u32).map(TermId)
     }
 }
 
@@ -210,9 +249,9 @@ mod tests {
         let f = SkolemId::from_index(0);
         let g = SkolemId::from_index(1);
         let ca = store.constant(a);
-        let fa1 = store.skolem(f, vec![ca]);
-        let fa2 = store.skolem(f, vec![ca]);
-        let ga = store.skolem(g, vec![ca]);
+        let fa1 = store.skolem(f, &[ca]);
+        let fa2 = store.skolem(f, &[ca]);
+        let ga = store.skolem(g, &[ca]);
         assert_eq!(fa1, fa2);
         // UNA: f(a) and g(a) are distinct values.
         assert_ne!(fa1, ga);
@@ -225,8 +264,8 @@ mod tests {
         let mut store = TermStore::new();
         let f = SkolemId::from_index(0);
         let ca = store.constant(a);
-        let fa = store.skolem(f, vec![ca]);
-        let ffa = store.skolem(f, vec![fa]);
+        let fa = store.skolem(f, &[ca]);
+        let ffa = store.skolem(f, &[fa]);
         assert_eq!(store.depth(ca), 0);
         assert_eq!(store.depth(fa), 1);
         assert_eq!(store.depth(ffa), 2);
@@ -240,7 +279,7 @@ mod tests {
         let mut store = TermStore::new();
         let f = SkolemId::from_index(0);
         let ca = store.constant(a);
-        let fa = store.skolem(f, vec![ca]);
+        let fa = store.skolem(f, &[ca]);
         assert!(ca.index() < fa.index());
     }
 }

@@ -197,8 +197,8 @@ impl Universe {
     }
 
     /// Interns the Skolem term `f(args…)`, checking arity.
-    pub fn skolem_term(&mut self, f: SkolemId, args: impl Into<Box<[TermId]>>) -> Result<TermId> {
-        let args = args.into();
+    pub fn skolem_term(&mut self, f: SkolemId, args: impl AsRef<[TermId]>) -> Result<TermId> {
+        let args = args.as_ref();
         let declared = self.skolems[f.index()].arity;
         if args.len() != declared {
             return Err(CoreError::SkolemArityMismatch {
@@ -213,8 +213,8 @@ impl Universe {
     // ----- atoms -------------------------------------------------------
 
     /// Interns the ground atom `pred(args…)`, checking arity.
-    pub fn atom(&mut self, pred: PredId, args: impl Into<Box<[TermId]>>) -> Result<AtomId> {
-        let args = args.into();
+    pub fn atom(&mut self, pred: PredId, args: impl AsRef<[TermId]>) -> Result<AtomId> {
+        let args = args.as_ref();
         let declared = self.preds[pred.index()].arity;
         if args.len() != declared {
             return Err(CoreError::ArityMismatch {
@@ -271,9 +271,9 @@ impl fmt::Display for DisplayTerm<'_> {
 
 fn write_term(u: &Universe, id: TermId, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     match u.terms.node(id) {
-        TermNode::Const(sym) => f.write_str(u.symbols.resolve(*sym)),
+        TermNode::Const(sym) => f.write_str(u.symbols.resolve(sym)),
         TermNode::Skolem { f: func, args } => {
-            f.write_str(u.skolem_name(*func))?;
+            f.write_str(u.skolem_name(func))?;
             f.write_str("(")?;
             for (i, a) in args.iter().enumerate() {
                 if i > 0 {

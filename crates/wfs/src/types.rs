@@ -21,7 +21,7 @@
 //!   E11).
 
 use wfdl_chase::ChaseSegment;
-use wfdl_core::{AtomId, FxHashMap, FxHashSet, Interp, PredId, TermId, TermNode, Truth, Universe};
+use wfdl_core::{AtomId, FxHashMap, FxHashSet, Interp, PredId, TermId, Truth, Universe};
 
 /// The type `(a, S)` of an atom: all decided literals over `dom(a)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -122,7 +122,7 @@ pub enum CanonTerm {
 pub fn canonicalize(universe: &Universe, ty: &AtomType) -> CanonicalType {
     let mut renaming: FxHashMap<TermId, u32> = FxHashMap::default();
     let canon = |t: TermId, renaming: &mut FxHashMap<TermId, u32>| -> CanonTerm {
-        if matches!(universe.terms.node(t), TermNode::Const(_)) {
+        if universe.terms.is_constant(t) {
             CanonTerm::Const(t)
         } else {
             let next = renaming.len() as u32;
@@ -161,7 +161,7 @@ pub fn subtree_signature(
 ) -> Vec<(u32, PredId, Vec<CanonTerm>, Truth)> {
     let mut renaming: FxHashMap<TermId, u32> = FxHashMap::default();
     let canon = |t: TermId, renaming: &mut FxHashMap<TermId, u32>| -> CanonTerm {
-        if matches!(universe.terms.node(t), TermNode::Const(_)) {
+        if universe.terms.is_constant(t) {
             CanonTerm::Const(t)
         } else {
             let next = renaming.len() as u32;

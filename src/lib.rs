@@ -1379,12 +1379,14 @@ pub fn fact_batch_from_reader(
             continue;
         }
         let sep = if line.contains('\t') { '\t' } else { ',' };
-        let fields: Vec<&str> = line.split(sep).map(str::trim).collect();
-        let pred = fields[0];
-        if pred.is_empty() || fields.iter().any(|f| f.is_empty()) {
+        // The split is re-walked for each use (validate, count, intern)
+        // rather than collected, so a line costs no allocation.
+        let mut fields = line.split(sep).map(str::trim);
+        let pred = fields.next().unwrap_or_default();
+        if pred.is_empty() || fields.clone().any(str::is_empty) {
             return Err(positioned(format!("empty field in fact line `{line}`")));
         }
-        let arity = fields.len() - 1;
+        let arity = fields.clone().count();
         let pred_id = match &current {
             Some((name, id, ar)) if name == pred && *ar == arity => *id,
             _ => {
@@ -1396,8 +1398,8 @@ pub fn fact_batch_from_reader(
             }
         };
         args.clear();
-        args.extend(fields[1..].iter().map(|c| universe.constant(c)));
-        let atom = universe.atoms.intern_ref(pred_id, &args);
+        args.extend(fields.map(|c| universe.constant(c)));
+        let atom = universe.atoms.intern(pred_id, &args);
         batch
             .push_atom(universe, atom)
             .map_err(|e| positioned(e.to_string()))?;
