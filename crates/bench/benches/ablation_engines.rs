@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wfdl_core::Universe;
 use wfdl_gen::{winmove_database, winmove_sigma, WinMoveConfig};
-use wfdl_wfs::{solve, EngineKind, WfsOptions};
+use wfdl_wfs::{solve, EngineKind, SolveRequest, WfsOptions};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_engines");
@@ -22,7 +22,8 @@ fn bench(c: &mut Criterion) {
             seed: 3,
         },
     );
-    let _ = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+    let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+    let _ = solve(req).model;
 
     for (name, engine) in [
         ("wp", EngineKind::Wp),
@@ -35,12 +36,13 @@ fn bench(c: &mut Criterion) {
             &engine,
             |b, &engine| {
                 b.iter(|| {
-                    solve(
+                    let req = SolveRequest::new(
                         &mut u,
                         &db,
                         &sigma,
                         WfsOptions::unbounded().with_engine(engine),
-                    )
+                    );
+                    solve(req).model
                 });
             },
         );

@@ -20,35 +20,11 @@
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
+use wfdl_bench::timing::{fmt_ns, median, sample_count};
 use wfdl_core::{CancelToken, SkolemProgram, SolveBudget, Universe};
 use wfdl_gen::{chain_database, example4_sigma, fanout_database, fanout_sigma, FanoutConfig};
 use wfdl_storage::Database;
-use wfdl_wfs::{solve, solve_budgeted, WfsOptions};
-
-fn sample_count() -> usize {
-    std::env::var("WFDL_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
-}
-
-fn median(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", ns as f64 / 1_000_000_000.0)
-    }
-}
+use wfdl_wfs::{solve, SolveRequest, WfsOptions};
 
 /// An ample budget: every trip point does its full check, none ever trips.
 fn ample_budget() -> SolveBudget {
@@ -77,13 +53,14 @@ fn run_workload(w: &Workload, samples: usize) -> Outcome {
     let (base_atoms, base_render) = {
         let mut u = Universe::new();
         let (db, sigma) = (w.setup)(&mut u);
-        let model = solve(&mut u, &db, &sigma, w.options);
+        let model = solve(SolveRequest::new(&mut u, &db, &sigma, w.options)).model;
         (model.segment.atoms().len(), model.render_true(&u))
     };
     {
         let mut u = Universe::new();
         let (db, sigma) = (w.setup)(&mut u);
-        let model = solve_budgeted(&mut u, &db, &sigma, w.options, &ample_budget());
+        let req = SolveRequest::new(&mut u, &db, &sigma, w.options).budget(ample_budget());
+        let model = solve(req).model;
         // chain256 is depth-truncated by design; what must NOT happen is a
         // budget trip.
         assert!(
@@ -114,12 +91,14 @@ fn run_workload(w: &Workload, samples: usize) -> Outcome {
     let mut time_one = |use_budget: bool, record: bool| {
         let mut u = Universe::new();
         let (db, sigma) = (w.setup)(&mut u);
-        let start = Instant::now();
-        let out = if use_budget {
-            solve_budgeted(&mut u, &db, &sigma, w.options, &budget)
+        let req = SolveRequest::new(&mut u, &db, &sigma, w.options);
+        let req = if use_budget {
+            req.budget(budget.clone())
         } else {
-            solve(&mut u, &db, &sigma, w.options)
+            req
         };
+        let start = Instant::now();
+        let out = solve(req).model;
         let elapsed = start.elapsed().as_nanos() as u64;
         std::hint::black_box(&out);
         if record {

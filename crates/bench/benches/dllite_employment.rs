@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wfdl_core::Universe;
 use wfdl_gen::{employment_ontology, EmploymentConfig};
 use wfdl_ontology::translate;
-use wfdl_wfs::{solve, WfsOptions};
+use wfdl_wfs::{solve, SolveRequest, WfsOptions};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("dllite_employment");
@@ -19,9 +19,13 @@ fn bench(c: &mut Criterion) {
         let mut u = Universe::new();
         let tr = translate(&mut u, &onto).unwrap();
         let sigma = tr.program.clone().skolemize(&mut u).unwrap();
-        let _ = solve(&mut u, &tr.database, &sigma, WfsOptions::depth(5));
+        let req = SolveRequest::new(&mut u, &tr.database, &sigma, WfsOptions::depth(5));
+        let _ = solve(req).model;
         group.bench_with_input(BenchmarkId::from_parameter(persons), &persons, |b, _| {
-            b.iter(|| solve(&mut u, &tr.database, &sigma, WfsOptions::depth(5)));
+            b.iter(|| {
+                let req = SolveRequest::new(&mut u, &tr.database, &sigma, WfsOptions::depth(5));
+                solve(req).model
+            });
         });
     }
     group.finish();

@@ -7,12 +7,12 @@
 //! 1. load `SEEDS` chain seeds and solve (untimed warm model);
 //! 2. insert a ~1% delta of fresh seeds through the **typed** path
 //!    ([`wfdatalog::FactBatch`] / `RelationWriter` — no parser);
-//! 3. time the **incremental** re-solve (`solve_resumed`: chase resumed
-//!    from the previous frontier + per-component verdict reuse) against a
-//!    **full** recompute over the union database.
+//! 3. time the **incremental** re-solve (a resumed `SolveRequest`: chase
+//!    resumed from the previous frontier + per-component verdict reuse)
+//!    against a **full** recompute over the union database.
 //!
-//! Both the engine-level comparison (`wfdl_wfs::solve_resumed` vs
-//! `wfdl_wfs::solve`) and the end-to-end façade comparison
+//! Both the engine-level comparison (`wfdl_wfs::solve` resumed vs full)
+//! and the end-to-end façade comparison
 //! (`KnowledgeBase::solve`, which additionally re-packages the snapshot
 //! and indexes) are reported. Output mirrors the other benches:
 //! human-readable medians on stdout, machine-readable
@@ -22,6 +22,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use wfdatalog::{FactBatch, KnowledgeBase, Universe, WfsOptions};
+use wfdl_bench::timing::{fmt_ns, median, sample_count};
 use wfdl_gen::{chain_database, example4_sigma};
 
 const SEEDS: usize = 256;
@@ -39,31 +40,6 @@ const RULES: &str = r#"
 
 fn delta_count() -> usize {
     (SEEDS / 100).max(1)
-}
-
-fn sample_count() -> usize {
-    std::env::var("WFDL_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
-}
-
-fn median(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", ns as f64 / 1_000_000_000.0)
-    }
 }
 
 /// Seed facts `{R(cᵢ,cᵢ,dᵢ), P(cᵢ,cᵢ)}` for `range`, via the typed path.
@@ -105,7 +81,8 @@ fn run_engine_leg(samples: usize) -> EngineLeg {
         let mut u = Universe::new();
         let sigma = example4_sigma(&mut u);
         let base = chain_database(&mut u, SEEDS);
-        let prev = wfdatalog::wfs::solve(&mut u, &base, &sigma, options);
+        let req = wfdatalog::wfs::SolveRequest::new(&mut u, &base, &sigma, options);
+        let prev = wfdatalog::wfs::solve(req).model;
 
         let delta = seed_batch(&mut u, SEEDS..SEEDS + delta_n);
         let mut union_db = base.clone();
@@ -114,9 +91,12 @@ fn run_engine_leg(samples: usize) -> EngineLeg {
         }
 
         let start = Instant::now();
-        let (inc_model, stats) =
-            wfdatalog::wfs::solve_resumed(&mut u, &prev, &sigma, delta.atoms(), options)
-                .expect("resumable");
+        let req = wfdatalog::wfs::SolveRequest::new(&mut u, &union_db, &sigma, options);
+        let wfdatalog::wfs::SolveOutput {
+            model: inc_model,
+            stats,
+            ..
+        } = wfdatalog::wfs::solve(req.resume(&prev, delta.atoms()));
         inc_ns.push(start.elapsed().as_nanos() as u64);
         assert!(stats.incremental);
         assert!(
@@ -126,7 +106,8 @@ fn run_engine_leg(samples: usize) -> EngineLeg {
         components_reused = stats.components_reused;
 
         let start = Instant::now();
-        let full_model = wfdatalog::wfs::solve(&mut u, &union_db, &sigma, options);
+        let req = wfdatalog::wfs::SolveRequest::new(&mut u, &union_db, &sigma, options);
+        let full_model = wfdatalog::wfs::solve(req).model;
         full_ns.push(start.elapsed().as_nanos() as u64);
         components = full_model.component_stats().map_or(0, |s| s.components);
 

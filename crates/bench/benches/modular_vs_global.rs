@@ -21,7 +21,9 @@ use wfdl_gen::{
     RandomDbConfig, WinMoveConfig,
 };
 use wfdl_storage::GroundProgram;
-use wfdl_wfs::{solve, AlternatingEngine, ModularEngine, StepMode, WfsOptions, WpEngine};
+use wfdl_wfs::{
+    solve, AlternatingEngine, ModularEngine, SolveRequest, StepMode, WfsOptions, WpEngine,
+};
 
 fn stratified_ground() -> GroundProgram {
     let mut u = Universe::new();
@@ -46,7 +48,8 @@ fn stratified_ground() -> GroundProgram {
             seed: 9,
         },
     );
-    solve(&mut u, &db, &w.sigma, WfsOptions::unbounded()).ground
+    let req = SolveRequest::new(&mut u, &db, &w.sigma, WfsOptions::unbounded());
+    solve(req).model.ground
 }
 
 fn winmove_ground(nodes: usize, forward_bias: f64) -> GroundProgram {
@@ -61,7 +64,8 @@ fn winmove_ground(nodes: usize, forward_bias: f64) -> GroundProgram {
             seed: 3,
         },
     );
-    solve(&mut u, &db, &sigma, WfsOptions::unbounded()).ground
+    let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+    solve(req).model.ground
 }
 
 fn bench(c: &mut Criterion) {

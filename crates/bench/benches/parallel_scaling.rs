@@ -30,6 +30,7 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
+use wfdl_bench::timing::{fmt_ns, median, sample_count};
 use wfdl_chase::{ChaseBudget, ChaseSegment};
 use wfdl_core::Universe;
 use wfdl_gen::{
@@ -37,34 +38,9 @@ use wfdl_gen::{
     FanoutConfig, WinMoveConfig,
 };
 use wfdl_storage::GroundProgram;
-use wfdl_wfs::{solve, ModularEngine, WfsOptions};
+use wfdl_wfs::{solve, ModularEngine, SolveRequest, WfsOptions};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
-
-fn sample_count() -> usize {
-    std::env::var("WFDL_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
-}
-
-fn median(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", ns as f64 / 1_000_000_000.0)
-    }
-}
 
 fn winmove_ground(nodes: usize) -> GroundProgram {
     let mut u = Universe::new();
@@ -78,14 +54,17 @@ fn winmove_ground(nodes: usize) -> GroundProgram {
             seed: 3,
         },
     );
-    solve(&mut u, &db, &sigma, WfsOptions::unbounded()).ground
+    let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+    solve(req).model.ground
 }
 
 fn chain_ground(seeds: usize) -> GroundProgram {
     let mut u = Universe::new();
     let sigma = example4_sigma(&mut u);
     let db = chain_database(&mut u, seeds);
-    solve(&mut u, &db, &sigma, WfsOptions::depth(8)).ground
+    solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(8)))
+        .model
+        .ground
 }
 
 fn fanout_ground(groups: usize) -> GroundProgram {
@@ -99,7 +78,8 @@ fn fanout_ground(groups: usize) -> GroundProgram {
             seed: 2013,
         },
     );
-    solve(&mut u, &db, &sigma, WfsOptions::unbounded()).ground
+    let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+    solve(req).model.ground
 }
 
 struct Leg {

@@ -16,8 +16,9 @@
 //!   so future PRs have a perf trajectory to compare against.
 
 use std::fmt::Write as _;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use wfdl_analyze::{analyze, AnalysisInput};
+use wfdl_bench::timing::{fmt_ns, median, sample_count};
 use wfdl_chase::{ChaseBudget, ChaseSegment};
 use wfdl_core::Universe;
 use wfdl_gen::{
@@ -49,31 +50,8 @@ struct Outcome {
     ground_rules: usize,
 }
 
-fn sample_count() -> usize {
-    std::env::var("WFDL_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
-}
-
 fn median_ns(samples: &[Sample], extract: impl Fn(&Sample) -> u64) -> u64 {
-    let mut v: Vec<u64> = samples.iter().map(extract).collect();
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-fn fmt_ns(ns: u64) -> String {
-    let d = Duration::from_nanos(ns);
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", d.as_secs_f64())
-    }
+    median(samples.iter().map(extract).collect())
 }
 
 fn time<T>(f: impl FnOnce() -> T) -> (T, u64) {

@@ -11,8 +11,8 @@
 //!
 //! Legs, per sample (fresh state each time — no warm caches):
 //!
-//! * **engine**: `wfdl_wfs::solve_budgeted` vs
-//!   `solve_sliced_packaged_budgeted` on a typed fanout universe;
+//! * **engine**: `wfdl_wfs::solve` on the full program vs the same call
+//!   with a slice on the request, on a typed fanout universe;
 //! * **façade**: `KnowledgeBase::solve` vs `KnowledgeBase::solve_for`
 //!   (includes slice computation, query parsing, snapshot repackaging);
 //! * **façade warm**: `solve_for` after a prior full solve, measuring
@@ -24,7 +24,9 @@
 
 use std::fmt::Write as _;
 use std::time::Instant;
-use wfdatalog::{FactBatch, KnowledgeBase, ProgramSlice, SolveBudget, Universe, WfsOptions};
+use wfdatalog::wfs::{solve, SolveRequest};
+use wfdatalog::{FactBatch, KnowledgeBase, ProgramSlice, Universe, WfsOptions};
+use wfdl_bench::timing::{fmt_ns, median, sample_count};
 use wfdl_gen::{fanout_database, fanout_sigma, FanoutConfig};
 
 const GROUPS: usize = 8192;
@@ -48,31 +50,6 @@ fn config() -> FanoutConfig {
         groups: GROUPS,
         recursive_fraction: RECURSIVE_FRACTION,
         seed: 2013,
-    }
-}
-
-fn sample_count() -> usize {
-    std::env::var("WFDL_BENCH_SAMPLES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(30)
-}
-
-fn median(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns < 1_000 {
-        format!("{ns} ns")
-    } else if ns < 1_000_000 {
-        format!("{:.2} µs", ns as f64 / 1_000.0)
-    } else if ns < 1_000_000_000 {
-        format!("{:.2} ms", ns as f64 / 1_000_000.0)
-    } else {
-        format!("{:.2} s", ns as f64 / 1_000_000_000.0)
     }
 }
 
@@ -108,7 +85,6 @@ struct EngineLeg {
 /// Engine-level comparison on a raw universe (typed sigma, no parsing).
 fn run_engine_leg(samples: usize) -> EngineLeg {
     let options = WfsOptions::unbounded();
-    let budget = SolveBudget::unlimited();
     let mut full_ns = Vec::with_capacity(samples);
     let mut sliced_ns = Vec::with_capacity(samples);
     let mut preds_in_slice = 0;
@@ -126,20 +102,12 @@ fn run_engine_leg(samples: usize) -> EngineLeg {
 
         let mut u_sliced = u.clone();
         let start = Instant::now();
-        let sliced = wfdatalog::wfs::solve_sliced_packaged_budgeted(
-            &mut u_sliced,
-            &db,
-            &sigma,
-            options,
-            &[],
-            &budget,
-            &slice.pred_mask,
-            None,
-        );
+        let sliced =
+            solve(SolveRequest::new(&mut u_sliced, &db, &sigma, options).slice(&slice.pred_mask));
         sliced_ns.push(start.elapsed().as_nanos() as u64);
 
         let start = Instant::now();
-        let full = wfdatalog::wfs::solve_budgeted(&mut u, &db, &sigma, options, &budget);
+        let full = solve(SolveRequest::new(&mut u, &db, &sigma, options)).model;
         full_ns.push(start.elapsed().as_nanos() as u64);
 
         if sample == 0 {

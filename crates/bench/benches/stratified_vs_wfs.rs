@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wfdl_core::Universe;
 use wfdl_gen::{random_database, random_stratified_program, RandomConfig, RandomDbConfig};
-use wfdl_wfs::{perfect_model, solve, stratify, WfsOptions};
+use wfdl_wfs::{perfect_model, solve, stratify, SolveRequest, WfsOptions};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("stratified_vs_wfs");
@@ -34,13 +34,17 @@ fn bench(c: &mut Criterion) {
         },
     );
     let strat = stratify(&w.sigma).expect("stratified");
-    let model = solve(&mut u, &db, &w.sigma, WfsOptions::unbounded());
+    let req = SolveRequest::new(&mut u, &db, &w.sigma, WfsOptions::unbounded());
+    let model = solve(req).model;
 
     group.bench_with_input(BenchmarkId::new("engine", "stratified"), &(), |b, _| {
         b.iter(|| perfect_model(&u, &model.ground, &strat));
     });
     group.bench_with_input(BenchmarkId::new("engine", "wfs"), &(), |b, _| {
-        b.iter(|| solve(&mut u, &db, &w.sigma, WfsOptions::unbounded()));
+        b.iter(|| {
+            let req = SolveRequest::new(&mut u, &db, &w.sigma, WfsOptions::unbounded());
+            solve(req).model
+        });
     });
     group.finish();
 }

@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wfdl_core::Universe;
 use wfdl_gen::{random_database, random_program, RandomConfig, RandomDbConfig};
-use wfdl_wfs::{solve, WfsOptions};
+use wfdl_wfs::{solve, SolveRequest, WfsOptions};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("thm13_combined");
@@ -36,7 +36,8 @@ fn bench(c: &mut Criterion) {
                         seed: 11,
                     },
                 );
-                solve(&mut u, &db, &workload.sigma, WfsOptions::depth(4))
+                let req = SolveRequest::new(&mut u, &db, &workload.sigma, WfsOptions::depth(4));
+                solve(req).model
             });
         });
     }

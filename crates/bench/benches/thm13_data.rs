@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wfdl_core::Universe;
 use wfdl_gen::{chain_database, example4_sigma};
-use wfdl_wfs::{solve, WfsOptions};
+use wfdl_wfs::{solve, SolveRequest, WfsOptions};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("thm13_data");
@@ -15,9 +15,9 @@ fn bench(c: &mut Criterion) {
         let sigma = example4_sigma(&mut u);
         let db = chain_database(&mut u, seeds);
         // Warm-up interns every term/atom the solve will touch.
-        let _ = solve(&mut u, &db, &sigma, WfsOptions::depth(6));
+        let _ = solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(6))).model;
         group.bench_with_input(BenchmarkId::from_parameter(db.len()), &seeds, |b, _| {
-            b.iter(|| solve(&mut u, &db, &sigma, WfsOptions::depth(6)));
+            b.iter(|| solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(6))).model);
         });
     }
     group.finish();

@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wfdl_core::Universe;
 use wfdl_gen::{chain_database, example4_sigma};
 use wfdl_query::{answers, Nbcq, QTerm, QVar, QueryAtom};
-use wfdl_wfs::{solve, WfsOptions};
+use wfdl_wfs::{solve, SolveRequest, WfsOptions};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("thm14_nbcq");
@@ -14,7 +14,7 @@ fn bench(c: &mut Criterion) {
         let mut u = Universe::new();
         let sigma = example4_sigma(&mut u);
         let db = chain_database(&mut u, seeds);
-        let model = solve(&mut u, &db, &sigma, WfsOptions::depth(6));
+        let model = solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(6))).model;
         let p = u.lookup_pred("P").unwrap();
         let s = u.lookup_pred("S").unwrap();
         // ∃X,Y P(X,Y) ∧ ¬S(X)

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wfdl_core::Universe;
 use wfdl_gen::{winmove_database, winmove_sigma, WinMoveConfig};
-use wfdl_wfs::{solve, WfsOptions};
+use wfdl_wfs::{solve, SolveRequest, WfsOptions};
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("winmove");
@@ -21,9 +21,13 @@ fn bench(c: &mut Criterion) {
                 seed: 17,
             },
         );
-        let _ = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let _ = solve(req).model;
         group.bench_with_input(BenchmarkId::from_parameter(nodes), &nodes, |b, _| {
-            b.iter(|| solve(&mut u, &db, &sigma, WfsOptions::unbounded()));
+            b.iter(|| {
+                let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+                solve(req).model
+            });
         });
     }
     group.finish();

@@ -13,7 +13,7 @@ use wfdl_ontology::translate;
 use wfdl_query::{holds3, Nbcq, QTerm, QVar, QueryAtom};
 use wfdl_wfs::{
     perfect_model, solve, solver::solve_no_una, stratify, wcheck, EngineKind, ForwardEngine,
-    WfsOptions,
+    SolveRequest, WfsOptions,
 };
 
 /// E1 — the Example 6 figure: `F⁺(P)` up to depth 3.
@@ -73,8 +73,10 @@ pub fn e3_data_complexity() {
         let mut u = Universe::new();
         let sigma = example4_sigma(&mut u);
         let db = chain_database(&mut u, k);
-        let model = solve(&mut u, &db, &sigma, WfsOptions::depth(6)); // warm-up
-        let t = median_time(3, || solve(&mut u, &db, &sigma, WfsOptions::depth(6)));
+        let model = solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(6))).model; // warm-up
+        let t = median_time(3, || {
+            solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(6))).model
+        });
         println!(
             "{:>10} {:>12} {:>12} {:>11.2?}",
             db.len(),
@@ -152,8 +154,10 @@ pub fn e4_combined_complexity() {
         let seed = u.atom(p, vec![c; w]).unwrap();
         let mut db = wfdl_storage::Database::new();
         db.insert(&u, seed).unwrap();
-        let model = solve(&mut u, &db, &sigma, WfsOptions::depth(4)); // warm-up
-        let t = median_time(3, || solve(&mut u, &db, &sigma, WfsOptions::depth(4)));
+        let model = solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(4))).model; // warm-up
+        let t = median_time(3, || {
+            solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(4))).model
+        });
         let delta = wfdl_chase::paper_delta(wfdl_core::SchemaStats {
             num_preds: 3,
             max_arity: w,
@@ -189,7 +193,7 @@ pub fn e5_nbcq_answering() {
         let mut u = Universe::new();
         let sigma = example4_sigma(&mut u);
         let db = chain_database(&mut u, k);
-        let model = solve(&mut u, &db, &sigma, WfsOptions::depth(6));
+        let model = solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(6))).model;
         // ∃X,Y P(X,Y) ∧ ¬S(X)
         let p = u.lookup_pred("P").unwrap();
         let s = u.lookup_pred("S").unwrap();
@@ -216,7 +220,7 @@ pub fn e5_nbcq_answering() {
     let mut u = Universe::new();
     let sigma = example4_sigma(&mut u);
     let db = chain_database(&mut u, 32);
-    let model = solve(&mut u, &db, &sigma, WfsOptions::depth(6));
+    let model = solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(6))).model;
     let r = u.lookup_pred("R").unwrap();
     for n in 1..=5usize {
         // R(X0,X1,X2), R(X2,?,?)… chained joins of length n.
@@ -268,9 +272,11 @@ pub fn e6_dllite_employment() {
         let mut u = Universe::new();
         let tr = translate(&mut u, &onto).unwrap();
         let sigma = tr.program.clone().skolemize(&mut u).unwrap();
-        let model = solve(&mut u, &tr.database, &sigma, WfsOptions::depth(5)); // warm-up
+        let req = SolveRequest::new(&mut u, &tr.database, &sigma, WfsOptions::depth(5));
+        let model = solve(req).model; // warm-up
         let t = median_time(3, || {
-            solve(&mut u, &tr.database, &sigma, WfsOptions::depth(5))
+            let req = SolveRequest::new(&mut u, &tr.database, &sigma, WfsOptions::depth(5));
+            solve(req).model
         });
         let valid = u.lookup_pred("ValidID").unwrap();
         let una_count = model
@@ -362,10 +368,12 @@ pub fn e7_engine_ablation() {
         ] {
             let t = median_time(3, || {
                 let (mut u, db, sigma, opts) = mk();
-                solve(&mut u, &db, &sigma, opts.with_engine(engine))
+                let req = SolveRequest::new(&mut u, &db, &sigma, opts.with_engine(engine));
+                solve(req).model
             });
             let (mut u, db, sigma, opts) = mk();
-            let model = solve(&mut u, &db, &sigma, opts.with_engine(engine));
+            let req = SolveRequest::new(&mut u, &db, &sigma, opts.with_engine(engine));
+            let model = solve(req).model;
             verdicts.push(model.counts());
             row.push_str(&format!(" {:>13.2?}", t));
         }
@@ -410,9 +418,13 @@ pub fn e8_stratified_vs_wfs() {
             },
         );
         let strat = stratify(&w.sigma).expect("stratified by construction");
-        let model = solve(&mut u, &db, &w.sigma, WfsOptions::unbounded());
+        let req = SolveRequest::new(&mut u, &db, &w.sigma, WfsOptions::unbounded());
+        let model = solve(req).model;
         let t_strat = median_time(5, || perfect_model(&u, &model.ground, &strat));
-        let t_wfs = median_time(5, || solve(&mut u, &db, &w.sigma, WfsOptions::unbounded()));
+        let t_wfs = median_time(5, || {
+            let req = SolveRequest::new(&mut u, &db, &w.sigma, WfsOptions::unbounded());
+            solve(req).model
+        });
         let perfect = perfect_model(&u, &model.ground, &strat);
         let agree = model
             .ground
@@ -456,8 +468,10 @@ pub fn e9_winmove_scaling() {
         // count, which the (default) modular engine does not report — it
         // counts dependency components instead.
         let opts = WfsOptions::unbounded().with_engine(EngineKind::Wp);
-        let model = solve(&mut u, &db, &sigma, opts); // warm-up
-        let t = median_time(3, || solve(&mut u, &db, &sigma, opts));
+        let model = solve(SolveRequest::new(&mut u, &db, &sigma, opts)).model; // warm-up
+        let t = median_time(3, || {
+            solve(SolveRequest::new(&mut u, &db, &sigma, opts)).model
+        });
         let win = u.lookup_pred("win").unwrap();
         let mut won = 0usize;
         let mut drawn = 0usize;
@@ -495,8 +509,10 @@ pub fn e10_wcheck() {
     let mut u = Universe::new();
     let sigma = example4_sigma(&mut u);
     let db = chain_database(&mut u, 64);
-    let model = solve(&mut u, &db, &sigma, WfsOptions::depth(6));
-    let t_global = median_time(3, || solve(&mut u, &db, &sigma, WfsOptions::depth(6)));
+    let model = solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(6))).model;
+    let t_global = median_time(3, || {
+        solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(6))).model
+    });
     // Probe one T-atom per chain: its cone is a single chain.
     let t_pred = u.lookup_pred("T").unwrap();
     let c0 = u.lookup_constant("c0").unwrap();
@@ -547,7 +563,8 @@ pub fn smoke_three_valued_query() {
     let mut u = Universe::new();
     let sigma = winmove_sigma(&mut u);
     let db = wfdl_gen::winmove_cycle(&mut u, 3);
-    let model = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+    let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+    let model = solve(req).model;
     let win = u.lookup_pred("win").unwrap();
     let q = Nbcq::boolean(
         &u,

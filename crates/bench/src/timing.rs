@@ -1,6 +1,36 @@
-//! Small measurement utilities for the experiments binary.
+//! Small measurement utilities for the experiments binary and the benches.
 
 use std::time::{Duration, Instant};
+
+/// Samples per bench leg: `WFDL_BENCH_SAMPLES` when it is a positive
+/// integer, else 30.
+pub fn sample_count() -> usize {
+    std::env::var("WFDL_BENCH_SAMPLES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .filter(|&n| n > 0)
+        .unwrap_or(30)
+}
+
+/// Median of a non-empty sample (the upper one for even lengths).
+pub fn median(mut v: Vec<u64>) -> u64 {
+    v.sort_unstable();
+    v[v.len() / 2]
+}
+
+/// A nanosecond count in the largest unit (ns, µs, ms, s) that keeps it
+/// at least 1, with two decimals above nanoseconds.
+pub fn fmt_ns(ns: u64) -> String {
+    if ns < 1_000 {
+        format!("{ns} ns")
+    } else if ns < 1_000_000 {
+        format!("{:.2} µs", ns as f64 / 1_000.0)
+    } else if ns < 1_000_000_000 {
+        format!("{:.2} ms", ns as f64 / 1_000_000.0)
+    } else {
+        format!("{:.2} s", ns as f64 / 1_000_000_000.0)
+    }
+}
 
 /// Runs `f` `runs` times and returns the median wall-clock duration.
 pub fn median_time<T>(runs: usize, mut f: impl FnMut() -> T) -> Duration {
@@ -79,6 +109,16 @@ mod tests {
         let ys: Vec<f64> = xs.iter().map(|x| 0.5 * x * x).collect();
         let s = fit_loglog_slope(&xs, &ys);
         assert!((s - 2.0).abs() < 1e-9, "{s}");
+    }
+
+    #[test]
+    fn median_and_units() {
+        assert_eq!(median(vec![5, 1, 3]), 3);
+        assert_eq!(median(vec![4, 1, 3, 2]), 3);
+        assert_eq!(fmt_ns(999), "999 ns");
+        assert_eq!(fmt_ns(1_500), "1.50 µs");
+        assert_eq!(fmt_ns(2_000_000), "2.00 ms");
+        assert_eq!(fmt_ns(3_000_000_000), "3.00 s");
     }
 
     #[test]

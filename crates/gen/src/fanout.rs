@@ -108,7 +108,7 @@ pub fn fanout_database(universe: &mut Universe, cfg: &FanoutConfig) -> Database 
 mod tests {
     use super::*;
     use wfdl_core::Truth;
-    use wfdl_wfs::{solve, WfsOptions};
+    use wfdl_wfs::{solve, SolveRequest, WfsOptions};
 
     #[test]
     fn groups_are_independent_and_shallow() {
@@ -120,7 +120,8 @@ mod tests {
             seed: 7,
         };
         let db = fanout_database(&mut u, &cfg);
-        let model = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let model = solve(req).model;
         assert!(model.exact, "no existentials: the chase terminates");
         let stats = model.component_stats().unwrap();
         // Every group contributes ≥4 singleton components; no component

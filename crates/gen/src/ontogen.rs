@@ -132,12 +132,13 @@ mod tests {
                 wfdl_ontology::translate(&mut u, &onto).expect("translation never fails");
             let (sigma, _viols) =
                 wfdl_wfs::lower_with_constraints(&mut u, &translated.program).unwrap();
-            let model = wfdl_wfs::solve(
+            let req = wfdl_wfs::SolveRequest::new(
                 &mut u,
                 &translated.database,
                 &sigma,
                 wfdl_wfs::WfsOptions::depth(3),
             );
+            let model = wfdl_wfs::solve(req).model;
             // The model must be consistent (no atom both true and false is
             // structurally impossible; spot-check counts instead).
             let (t, f, unk) = model.counts();
@@ -161,18 +162,20 @@ mod tests {
             let mut u = Universe::new();
             let translated = wfdl_ontology::translate(&mut u, &onto).unwrap();
             let sigma = translated.program.clone().skolemize(&mut u).unwrap();
-            let a = wfdl_wfs::solve(
+            let req = wfdl_wfs::SolveRequest::new(
                 &mut u,
                 &translated.database,
                 &sigma,
                 wfdl_wfs::WfsOptions::depth(3),
             );
-            let b = wfdl_wfs::solve(
+            let a = wfdl_wfs::solve(req).model;
+            let req = wfdl_wfs::SolveRequest::new(
                 &mut u,
                 &translated.database,
                 &sigma,
                 wfdl_wfs::WfsOptions::depth(3).with_engine(wfdl_wfs::EngineKind::Alternating),
             );
+            let b = wfdl_wfs::solve(req).model;
             for sa in a.segment.atoms() {
                 assert_eq!(a.value(sa.atom), b.value(sa.atom), "seed {seed}");
             }

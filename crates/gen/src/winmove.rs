@@ -120,7 +120,7 @@ pub fn winmove_cycle(universe: &mut Universe, length: usize) -> Database {
 mod tests {
     use super::*;
     use wfdl_core::Truth;
-    use wfdl_wfs::{solve, EngineKind, WfsOptions};
+    use wfdl_wfs::{solve, EngineKind, SolveRequest, WfsOptions};
 
     fn win_value(u: &Universe, model: &wfdl_wfs::WellFoundedModel, i: usize) -> Truth {
         let win = u.lookup_pred("win").unwrap();
@@ -136,7 +136,8 @@ mod tests {
         let mut u = Universe::new();
         let sigma = winmove_sigma(&mut u);
         let db = winmove_path(&mut u, 5);
-        let model = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let model = solve(req).model;
         assert!(model.exact);
         // n4 has no move: lost. n3: won. n2: lost. n1: won. n0: lost.
         assert_eq!(win_value(&u, &model, 4), Truth::False);
@@ -151,7 +152,8 @@ mod tests {
         let mut u = Universe::new();
         let sigma = winmove_sigma(&mut u);
         let db = winmove_cycle(&mut u, 5);
-        let model = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let model = solve(req).model;
         for i in 0..5 {
             assert_eq!(win_value(&u, &model, i), Truth::Unknown, "n{i}");
         }
@@ -164,7 +166,8 @@ mod tests {
         let mut u = Universe::new();
         let sigma = winmove_sigma(&mut u);
         let db = winmove_cycle(&mut u, 4);
-        let model = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let model = solve(req).model;
         for i in 0..4 {
             assert_eq!(win_value(&u, &model, i), Truth::Unknown, "n{i}");
         }
@@ -181,19 +184,22 @@ mod tests {
         let mut u = Universe::new();
         let sigma = winmove_sigma(&mut u);
         let db = winmove_database(&mut u, &cfg);
-        let wp = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
-        let alt = solve(
+        let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let wp = solve(req).model;
+        let req = SolveRequest::new(
             &mut u,
             &db,
             &sigma,
             WfsOptions::unbounded().with_engine(EngineKind::Alternating),
         );
-        let fwd = solve(
+        let alt = solve(req).model;
+        let req = SolveRequest::new(
             &mut u,
             &db,
             &sigma,
             WfsOptions::unbounded().with_engine(EngineKind::Forward),
         );
+        let fwd = solve(req).model;
         for sa in wp.segment.atoms() {
             assert_eq!(wp.value(sa.atom), alt.value(sa.atom));
             assert_eq!(wp.value(sa.atom), fwd.value(sa.atom));

@@ -112,7 +112,7 @@ pub fn read_request(reader: &mut impl BufRead, writer: &mut impl Write, limits: 
     let path = target.to_owned();
 
     // --- headers ------------------------------------------------------
-    let mut content_length = 0usize;
+    let mut content_length: Option<usize> = None;
     let mut close = http10;
     let mut expect_continue = false;
     let mut head_budget = limits.max_head_bytes;
@@ -131,12 +131,17 @@ pub fn read_request(reader: &mut impl BufRead, writer: &mut impl Write, limits: 
         };
         let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            match value.parse::<usize>() {
-                Ok(n) => content_length = n,
-                Err(_) => {
-                    return Parsed::Bad(HttpError::new(400, "unparsable content-length"));
-                }
+            // RFC 9110 §8.6: the value is `1*DIGIT` (no sign, no list),
+            // and RFC 9112 §6.3: differing duplicates make the framing
+            // ambiguous, so both are a 400. An identical repeat is harmless.
+            let n = match value.parse::<usize>() {
+                Ok(n) if value.bytes().all(|b| b.is_ascii_digit()) => n,
+                _ => return Parsed::Bad(HttpError::new(400, "unparsable content-length")),
+            };
+            if content_length.is_some_and(|m| m != n) {
+                return Parsed::Bad(HttpError::new(400, "conflicting content-length headers"));
             }
+            content_length = Some(n);
         } else if name.eq_ignore_ascii_case("transfer-encoding") {
             // Chunked framing is out of scope; refusing it keeps body
             // handling unambiguous.
@@ -154,6 +159,7 @@ pub fn read_request(reader: &mut impl BufRead, writer: &mut impl Write, limits: 
     }
 
     // --- body ---------------------------------------------------------
+    let content_length = content_length.unwrap_or(0);
     if content_length > limits.max_body_bytes {
         return Parsed::Bad(HttpError::new(
             413,
@@ -359,6 +365,33 @@ mod tests {
             panic!("expected a limit rejection");
         };
         assert_eq!(e.status, 413);
+    }
+
+    #[test]
+    fn content_length_must_be_plain_digits() {
+        for value in ["+5", "-5", " ", "5 5", "0x5", "5, 5"] {
+            let head = format!("POST /query HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            let Parsed::Bad(e) = parse(head.as_bytes()) else {
+                panic!("content-length `{value}` must be rejected");
+            };
+            assert_eq!(e.status, 400, "{value}");
+        }
+    }
+
+    #[test]
+    fn duplicate_content_length_must_agree() {
+        let Parsed::Bad(e) =
+            parse(b"POST /query HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 3\r\n\r\nhello")
+        else {
+            panic!("differing duplicates must be rejected");
+        };
+        assert_eq!(e.status, 400);
+        let Parsed::Ok(req) =
+            parse(b"POST /query HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 5\r\n\r\nhello")
+        else {
+            panic!("identical duplicates are accepted");
+        };
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]

@@ -47,11 +47,8 @@ pub use forward::ForwardEngine;
 pub use result::EngineResult;
 pub use scc::{condensation, Condensation, ModularEngine, ModularMemo, ModularStats};
 pub use solver::{
-    constraint_status, constraint_status_sliced, lower_with_constraints, solve, solve_budgeted,
-    solve_packaged, solve_packaged_budgeted, solve_packaged_resumed,
-    solve_packaged_resumed_budgeted, solve_resumed, solve_resumed_budgeted,
-    solve_sliced_packaged_budgeted, solve_stable, EngineKind, SolveOutput, SolveStats,
-    StabilityReport, WellFoundedModel, WfsOptions,
+    constraint_status, lower_with_constraints, solve, solve_stable, EngineKind, SolveOutput,
+    SolveRequest, SolveStats, StabilityReport, WellFoundedModel, WfsOptions,
 };
 pub use stable::stable_models;
 pub use stratified::{perfect_model, stratify, Stratification};

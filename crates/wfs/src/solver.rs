@@ -6,7 +6,7 @@ use crate::forward::ForwardEngine;
 use crate::result::EngineResult;
 use crate::scc::{ModularEngine, ModularStats};
 use crate::wp::{StepMode, WpEngine};
-use wfdl_chase::{ChaseBudget, ChaseSegment, ResumeError};
+use wfdl_chase::{ChaseBudget, ChaseSegment};
 use wfdl_core::{
     AtomId, CoreError, Interp, PredId, Program, RuleAtom, SkolemProgram, SolveBudget, SolveOutcome,
     Tgd, TruncationReason, Truth, Universe,
@@ -229,7 +229,7 @@ pub struct SolveStats {
     /// the global engines, which have no parallel path).
     pub threads: usize,
     /// True iff the solve was restricted to a query-relevant program
-    /// slice ([`solve_sliced_packaged_budgeted`]).
+    /// slice ([`SolveRequest::slice`]).
     pub sliced: bool,
     /// Predicate-level dependency components intersecting the slice.
     /// `0` for unsliced solves; filled in by the caller that computed the
@@ -240,101 +240,154 @@ pub struct SolveStats {
     pub total_components: usize,
 }
 
-/// Reads the observable solve statistics out of a finished model.
-fn stats_of(model: &WellFoundedModel, incremental: bool) -> SolveStats {
-    SolveStats {
-        incremental,
-        components_reused: model.result.stats.map_or(0, |s| s.components_reused),
-        threads: model.result.stats.map_or(1, |s| s.threads.max(1)),
-        ..SolveStats::default()
+/// One solve of `WFS(D, Σf)`: the inputs, the limits, and what an earlier
+/// solve may contribute. Full, resumed and sliced solves are three ways
+/// to reach the same verdicts, so they share this one request and the
+/// one entry point [`solve`].
+///
+/// ```
+/// use wfdl_chase::paper::example4;
+/// use wfdl_core::Universe;
+/// use wfdl_wfs::{solve, SolveRequest, WfsOptions};
+///
+/// let mut u = Universe::new();
+/// let (db, program) = example4(&mut u);
+/// let out = solve(SolveRequest::new(&mut u, &db, &program, WfsOptions::depth(6)));
+/// assert!(!out.model.exact, "Example 4 has an infinite chase");
+/// assert!(!out.stats.incremental);
+/// ```
+pub struct SolveRequest<'a> {
+    universe: &'a mut Universe,
+    db: &'a Database,
+    program: &'a SkolemProgram,
+    options: WfsOptions,
+    budget: SolveBudget,
+    violations: &'a [PredId],
+    resume: Option<(&'a WellFoundedModel, &'a [AtomId])>,
+    memo: Option<&'a WellFoundedModel>,
+    slice: Option<&'a [bool]>,
+}
+
+impl<'a> SolveRequest<'a> {
+    /// A full, unlimited solve of `db` under `program` with `options`, and
+    /// no constraints to report.
+    pub fn new(
+        universe: &'a mut Universe,
+        db: &'a Database,
+        program: &'a SkolemProgram,
+        options: WfsOptions,
+    ) -> Self {
+        SolveRequest {
+            universe,
+            db,
+            program,
+            options,
+            budget: SolveBudget::unlimited(),
+            violations: &[],
+            resume: None,
+            memo: None,
+            slice: None,
+        }
+    }
+
+    /// Runs under a [`SolveBudget`]: the chase checks it at round
+    /// boundaries and the modular engine at component/chunk boundaries.
+    /// On a trip the model reports a truncated
+    /// [`WellFoundedModel::outcome`] and degrades soundly (see
+    /// [`WellFoundedModel::value`]).
+    pub fn budget(mut self, budget: SolveBudget) -> Self {
+        self.budget = budget;
+        self
+    }
+
+    /// Reports the truth of each lowered constraint's violation marker
+    /// (see [`lower_with_constraints`]) in
+    /// [`SolveOutput::constraint_status`], in this order.
+    pub fn violations(mut self, violations: &'a [PredId]) -> Self {
+        self.violations = violations;
+        self
+    }
+
+    /// Computes `WFS(D ∪ Δ, Σf)` by **resuming** `prev`'s chase segment
+    /// with the new facts `delta` instead of re-chasing from scratch, and
+    /// (for [`EngineKind::Modular`]) reusing `prev`'s verdicts for every
+    /// dependency component whose inputs did not change.
+    ///
+    /// Preconditions (the façade's `KnowledgeBase` enforces them): `prev`
+    /// was solved over the same universe with the same program and
+    /// options, the delta is insert-only (`delta` facts are ground,
+    /// null-free and were not database facts before), and `db` already
+    /// holds them. When `prev`'s segment cannot resume (it was
+    /// cap-truncated, so a continuation would not equal a from-scratch
+    /// chase), [`solve`] re-chases `db` in full instead. Ignored by a
+    /// sliced request.
+    pub fn resume(mut self, prev: &'a WellFoundedModel, delta: &'a [AtomId]) -> Self {
+        self.resume = Some((prev, delta));
+        self
+    }
+
+    /// Composes with an earlier **modular** solve over the same universe
+    /// (typically the last full solve): components whose input
+    /// fingerprints and atom sets coincide with one of `prev`'s reuse its
+    /// verdicts instead of re-solving. A resumed request uses the model it
+    /// resumes from unless this names another.
+    pub fn memo(mut self, prev: &'a WellFoundedModel) -> Self {
+        self.memo = Some(prev);
+        self
+    }
+
+    /// Goal-directed solve restricted to a **relevance-closed** predicate
+    /// slice (`pred_mask`, indexed by [`PredId`]), as computed by
+    /// `wfdl-analyze`'s `ProgramSlice` from a query's goal predicates.
+    ///
+    /// The chase seeds only in-slice facts and fires only rules with
+    /// in-slice heads; the engine then runs on the restricted ground
+    /// program. Because the mask is relevance-closed (it follows both
+    /// positive and negative dependency edges), every in-slice atom gets
+    /// the **same verdict the full solve would assign** — with the same
+    /// `options.budget`, derivation depths coincide, so even
+    /// depth-truncation semantics match bit-for-bit.
+    ///
+    /// Two sliced-model caveats the caller must enforce (the façade's
+    /// `SolvedModel` slice guard does):
+    ///
+    /// * atoms over **out-of-slice** predicates were never chased — the
+    ///   model's `value()` reads them `False`, which is only meaningful for
+    ///   in-slice atoms. Queries must be checked against the mask.
+    /// * constraints are not goal-directed: a violation predicate outside
+    ///   the slice reports [`Truth::Unknown`] (its rules never fired, so
+    ///   neither verdict would be sound). Violation predicates are nullary
+    ///   markers no rule body reads, so in practice every constraint is
+    ///   `Unknown` under a sliced solve unless its marker was named a goal.
+    ///
+    /// `stats.sliced` is set; the component-count fields are left `0` for
+    /// the slice-computing caller to fill.
+    pub fn slice(mut self, pred_mask: &'a [bool]) -> Self {
+        self.slice = Some(pred_mask);
+        self
     }
 }
 
-/// Computes `WFS(D, Σf)` on a budgeted chase segment.
-pub fn solve(
-    universe: &mut Universe,
-    db: &Database,
-    program: &SkolemProgram,
-    options: WfsOptions,
-) -> WellFoundedModel {
-    solve_budgeted(universe, db, program, options, &SolveBudget::unlimited())
+/// Everything one solve produces, packaged for the serve stage: the model
+/// plus the truth of each lowered constraint's violation marker, computed
+/// while the universe is still mutable (the markers are nullary atoms that
+/// may need interning). After this returns, nothing on the serving path
+/// needs `&mut Universe` again.
+#[derive(Debug)]
+pub struct SolveOutput {
+    /// The well-founded model.
+    pub model: WellFoundedModel,
+    /// Truth of each constraint's violation marker, in
+    /// [`SolveRequest::violations`] order.
+    pub constraint_status: Vec<Truth>,
+    /// How the model was produced (full, incremental or sliced).
+    pub stats: SolveStats,
 }
 
-/// [`solve`] under a [`SolveBudget`]: the chase checks the budget at round
-/// boundaries and the modular engine at component/chunk boundaries. On a
-/// trip the returned model reports a truncated [`WellFoundedModel::outcome`]
-/// and degrades soundly (see [`WellFoundedModel::value`]).
-pub fn solve_budgeted(
-    universe: &mut Universe,
-    db: &Database,
-    program: &SkolemProgram,
-    options: WfsOptions,
-    solve_budget: &SolveBudget,
-) -> WellFoundedModel {
-    // The thread knob rides into the chase on the budget; saturation is
-    // bit-identical for every value, so options equality (and therefore
-    // the façade's cache/resume decisions) stays on the user's fields.
-    let budget = options.budget.with_threads(options.threads);
-    let segment = ChaseSegment::build_budgeted(universe, db, program, budget, solve_budget);
-    finish_model(segment, options, None, solve_budget)
-}
-
-/// Computes `WFS(D ∪ Δ, Σf)` by **resuming** a previous model's chase
-/// segment with the new facts `Δ` instead of re-chasing from scratch, and
-/// (for [`EngineKind::Modular`]) reusing the previous solve's verdicts for
-/// every dependency component whose inputs did not change.
-///
-/// Preconditions (the façade's `KnowledgeBase` enforces them): `prev` was
-/// solved over the same universe with the same `program` and the same
-/// options, and the delta is insert-only (`new_facts` are ground, null-free
-/// and were not database facts before).
-///
-/// # Errors
-///
-/// Returns [`ResumeError`] when `prev`'s segment refuses to resume
-/// (cap-truncated: continuation would not equal a from-scratch chase).
-/// Callers fall back to a full re-chase.
-pub fn solve_resumed(
-    universe: &mut Universe,
-    prev: &WellFoundedModel,
-    program: &SkolemProgram,
-    new_facts: &[wfdl_core::AtomId],
-    options: WfsOptions,
-) -> Result<(WellFoundedModel, SolveStats), ResumeError> {
-    solve_resumed_budgeted(
-        universe,
-        prev,
-        program,
-        new_facts,
-        options,
-        &SolveBudget::unlimited(),
-    )
-}
-
-/// [`solve_resumed`] under a [`SolveBudget`].
-///
-/// # Errors
-///
-/// Returns [`ResumeError`] when `prev`'s segment refuses to resume.
-pub fn solve_resumed_budgeted(
-    universe: &mut Universe,
-    prev: &WellFoundedModel,
-    program: &SkolemProgram,
-    new_facts: &[wfdl_core::AtomId],
-    options: WfsOptions,
-    solve_budget: &SolveBudget,
-) -> Result<(WellFoundedModel, SolveStats), ResumeError> {
-    let segment = prev
-        .segment
-        .resume_budgeted(universe, program, new_facts, solve_budget)?;
-    let model = finish_model(segment, options, Some(prev), solve_budget);
-    let stats = stats_of(&model, true);
-    Ok((model, stats))
-}
-
-/// Shared tail of [`solve`] and [`solve_resumed`]: ground the segment and
-/// run the selected engine (with verdict reuse when a previous modular
-/// solve is available).
+/// Computes `WFS(D, Σf)` on a chase segment — the solve stage of the
+/// compile → solve → serve lifecycle. The request decides where the
+/// segment comes from: a full chase, a resumed one, or one restricted to a
+/// slice (see [`SolveRequest`]).
 ///
 /// A chase stopped by a *budget trip* never sees the full engine: over an
 /// arbitrarily interrupted segment, "no deriving instance" proves nothing
@@ -345,34 +398,52 @@ pub fn solve_resumed_budgeted(
 /// in *every* completion of the chase — and everything else reads
 /// `Unknown`. Depth/cap truncations keep the historical depth-approximation
 /// semantics (full engine run, `exact == false`).
-fn finish_model(
-    segment: ChaseSegment,
-    options: WfsOptions,
-    prev: Option<&WellFoundedModel>,
-    solve_budget: &SolveBudget,
-) -> WellFoundedModel {
-    finish_model_with(segment, options, prev, prev, solve_budget)
-}
-
-/// [`finish_model`] with the two roles of a previous model split:
-/// `ground_prev` drives *incremental grounding* (only valid when
-/// `segment` resumed that model's chase), `memo_prev` drives
-/// *per-component verdict reuse* in the modular engine (valid for any
-/// previous modular solve over the same universe — the fingerprint check
-/// rejects components whose inputs differ). The sliced solve path
-/// grounds its restricted segment from scratch but still composes with
-/// the full solve's memo.
-fn finish_model_with(
-    segment: ChaseSegment,
-    options: WfsOptions,
-    ground_prev: Option<&WellFoundedModel>,
-    memo_prev: Option<&WellFoundedModel>,
-    solve_budget: &SolveBudget,
-) -> WellFoundedModel {
+pub fn solve(req: SolveRequest<'_>) -> SolveOutput {
+    let SolveRequest {
+        universe,
+        db,
+        program,
+        options,
+        budget,
+        violations,
+        resume,
+        memo,
+        slice,
+    } = req;
+    let resumed = match (slice, resume) {
+        (None, Some((prev, delta))) => prev
+            .segment
+            .resume_budgeted(universe, program, delta, &budget)
+            .ok()
+            .map(|segment| (segment, prev)),
+        _ => None,
+    };
+    let (segment, resumed_from) = match resumed {
+        Some((segment, prev)) => (segment, Some(prev)),
+        None => {
+            // The thread knob rides into the chase on the budget;
+            // saturation is bit-identical for every value, so options
+            // equality (and therefore the façade's cache/resume decisions)
+            // stays on the user's fields.
+            let chase_budget = options.budget.with_threads(options.threads);
+            let segment = match slice {
+                Some(mask) => ChaseSegment::build_restricted_budgeted(
+                    universe,
+                    db,
+                    program,
+                    chase_budget,
+                    &budget,
+                    mask,
+                ),
+                None => ChaseSegment::build_budgeted(universe, db, program, chase_budget, &budget),
+            };
+            (segment, None)
+        }
+    };
     // Resumed solves ground incrementally: the previous program is
     // extended with the delta's atoms/facts/instances instead of
     // re-translating the inherited bulk.
-    let ground = match ground_prev {
+    let ground = match resumed_from {
         Some(p) => segment.to_ground_program_from(&p.ground),
         None => segment.to_ground_program(),
     };
@@ -380,26 +451,8 @@ fn finish_model_with(
     let result = if chase_trunc.is_some_and(TruncationReason::is_budget_trip) {
         positive_closure_result(&ground)
     } else {
-        match options.engine {
-            EngineKind::Modular => ModularEngine::new(&ground)
-                .with_threads(options.threads)
-                .with_budget(solve_budget.clone())
-                .solve_incremental(memo_prev.map(|p| (&p.ground, &p.result))),
-            // The global engines have no internal trip points: under a
-            // budget they either start (and run to completion) or refuse at
-            // the door.
-            EngineKind::Wp | EngineKind::WpLiteral | EngineKind::Alternating
-                if solve_budget.check(0).is_some() =>
-            {
-                let mut r = positive_closure_result(&ground);
-                r.truncation = solve_budget.check(0);
-                r
-            }
-            EngineKind::Wp => WpEngine::new(&ground).solve(StepMode::Accelerated),
-            EngineKind::WpLiteral => WpEngine::new(&ground).solve(StepMode::Literal),
-            EngineKind::Alternating => AlternatingEngine::new(&ground).solve(),
-            EngineKind::Forward => ForwardEngine::new(&segment).solve(),
-        }
+        let memo = memo.or(resumed_from);
+        run_engine(&segment, &ground, options, memo, &budget)
     };
     let exact = segment.complete;
     let outcome = match chase_trunc
@@ -407,21 +460,69 @@ fn finish_model_with(
         .or(result.truncation)
     {
         Some(r) => SolveOutcome::Truncated(r),
-        None => {
-            if exact {
-                SolveOutcome::Complete
-            } else {
-                SolveOutcome::Truncated(chase_trunc.unwrap_or(TruncationReason::DepthCap))
-            }
-        }
+        None if exact => SolveOutcome::Complete,
+        None => SolveOutcome::Truncated(chase_trunc.unwrap_or(TruncationReason::DepthCap)),
     };
-    WellFoundedModel {
+    let model = WellFoundedModel {
         segment,
         ground,
         result,
         exact,
         engine: options.engine,
         outcome,
+    };
+    let constraint_status = violations
+        .iter()
+        .map(|&p| match slice {
+            // Outside the slice the violation rules never fired: reading
+            // the model would yield a spurious `False`.
+            Some(mask) if !mask.get(p.index()).copied().unwrap_or(false) => Truth::Unknown,
+            _ => violation_value(universe, &model, p),
+        })
+        .collect();
+    let stats = SolveStats {
+        incremental: resumed_from.is_some(),
+        components_reused: model.result.stats.map_or(0, |s| s.components_reused),
+        threads: model.result.stats.map_or(1, |s| s.threads.max(1)),
+        sliced: slice.is_some(),
+        ..SolveStats::default()
+    };
+    SolveOutput {
+        model,
+        constraint_status,
+        stats,
+    }
+}
+
+/// Runs the selected engine over a segment the chase did not stop by a
+/// budget trip. `memo` drives per-component verdict reuse in the modular
+/// engine (valid for any previous modular solve over the same universe —
+/// the fingerprint check rejects components whose inputs differ).
+fn run_engine(
+    segment: &ChaseSegment,
+    ground: &GroundProgram,
+    options: WfsOptions,
+    memo: Option<&WellFoundedModel>,
+    budget: &SolveBudget,
+) -> EngineResult {
+    match options.engine {
+        EngineKind::Modular => ModularEngine::new(ground)
+            .with_threads(options.threads)
+            .with_budget(budget.clone())
+            .solve_incremental(memo.map(|p| (&p.ground, &p.result))),
+        // The global engines have no internal trip points: under a budget
+        // they either start (and run to completion) or refuse at the door.
+        EngineKind::Wp | EngineKind::WpLiteral | EngineKind::Alternating
+            if budget.check(0).is_some() =>
+        {
+            let mut r = positive_closure_result(ground);
+            r.truncation = budget.check(0);
+            r
+        }
+        EngineKind::Wp => WpEngine::new(ground).solve(StepMode::Accelerated),
+        EngineKind::WpLiteral => WpEngine::new(ground).solve(StepMode::Literal),
+        EngineKind::Alternating => AlternatingEngine::new(ground).solve(),
+        EngineKind::Forward => ForwardEngine::new(segment).solve(),
     }
 }
 
@@ -496,172 +597,6 @@ fn positive_closure_result(ground: &GroundProgram) -> EngineResult {
         memo: None,
         truncation: None,
     }
-}
-
-/// Everything one solve produces, packaged for the serve stage: the model
-/// plus the truth of each lowered constraint's violation marker, computed
-/// while the universe is still mutable (the markers are nullary atoms that
-/// may need interning). After this returns, nothing on the serving path
-/// needs `&mut Universe` again.
-#[derive(Debug)]
-pub struct SolveOutput {
-    /// The well-founded model.
-    pub model: WellFoundedModel,
-    /// Truth of each constraint's violation marker, in `violations` order.
-    pub constraint_status: Vec<Truth>,
-    /// How the model was produced (full vs incremental).
-    pub stats: SolveStats,
-}
-
-/// [`solve`] plus constraint-status evaluation in one call — the solve
-/// stage of the compile → solve → serve lifecycle.
-pub fn solve_packaged(
-    universe: &mut Universe,
-    db: &Database,
-    program: &SkolemProgram,
-    options: WfsOptions,
-    violations: &[PredId],
-) -> SolveOutput {
-    solve_packaged_budgeted(
-        universe,
-        db,
-        program,
-        options,
-        violations,
-        &SolveBudget::unlimited(),
-    )
-}
-
-/// [`solve_packaged`] under a [`SolveBudget`].
-pub fn solve_packaged_budgeted(
-    universe: &mut Universe,
-    db: &Database,
-    program: &SkolemProgram,
-    options: WfsOptions,
-    violations: &[PredId],
-    solve_budget: &SolveBudget,
-) -> SolveOutput {
-    let model = solve_budgeted(universe, db, program, options, solve_budget);
-    let constraint_status = constraint_status(universe, &model, violations);
-    let stats = stats_of(&model, false);
-    SolveOutput {
-        model,
-        constraint_status,
-        stats,
-    }
-}
-
-/// Goal-directed solve: [`solve_packaged_budgeted`] restricted to a
-/// **relevance-closed** predicate slice (`pred_mask`, indexed by
-/// [`PredId`]), as computed by `wfdl-analyze`'s `ProgramSlice` from a
-/// query's goal predicates.
-///
-/// The chase seeds only in-slice facts and fires only rules with
-/// in-slice heads; the modular engine then runs on the restricted ground
-/// program. Because the mask is relevance-closed (it follows both
-/// positive and negative dependency edges), every in-slice atom gets the
-/// **same verdict the full solve would assign** — with the same
-/// `options.budget`, derivation depths coincide, so even
-/// depth-truncation semantics match bit-for-bit.
-///
-/// `memo_prev` optionally composes with an earlier **modular** solve
-/// over the same universe (typically the last full solve): components of
-/// the sliced ground program whose input fingerprints and atom sets
-/// coincide with a previous component reuse its verdicts instead of
-/// re-solving.
-///
-/// Two sliced-model caveats the caller must enforce (the façade's
-/// `SolvedModel` slice guard does):
-///
-/// * atoms over **out-of-slice** predicates were never chased — the
-///   model's `value()` reads them `False`, which is only meaningful for
-///   in-slice atoms. Queries must be checked against the mask.
-/// * constraints are not goal-directed: a violation predicate outside
-///   the slice reports [`Truth::Unknown`] (its rules never fired, so
-///   neither verdict would be sound).
-///
-/// `stats.sliced` is set; the component-count fields are left `0` for
-/// the slice-computing caller to fill.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_sliced_packaged_budgeted(
-    universe: &mut Universe,
-    db: &Database,
-    program: &SkolemProgram,
-    options: WfsOptions,
-    violations: &[PredId],
-    solve_budget: &SolveBudget,
-    pred_mask: &[bool],
-    memo_prev: Option<&WellFoundedModel>,
-) -> SolveOutput {
-    let budget = options.budget.with_threads(options.threads);
-    let segment = ChaseSegment::build_restricted_budgeted(
-        universe,
-        db,
-        program,
-        budget,
-        solve_budget,
-        pred_mask,
-    );
-    let model = finish_model_with(segment, options, None, memo_prev, solve_budget);
-    let constraint_status = constraint_status_sliced(universe, &model, violations, pred_mask);
-    let mut stats = stats_of(&model, false);
-    stats.sliced = true;
-    SolveOutput {
-        model,
-        constraint_status,
-        stats,
-    }
-}
-
-/// [`solve_resumed`] plus constraint-status evaluation in one call — the
-/// incremental solve stage after an insert-only delta.
-///
-/// # Errors
-///
-/// Returns [`ResumeError`] when `prev`'s segment refuses to resume; the
-/// caller falls back to a full [`solve_packaged`].
-pub fn solve_packaged_resumed(
-    universe: &mut Universe,
-    prev: &WellFoundedModel,
-    program: &SkolemProgram,
-    new_facts: &[wfdl_core::AtomId],
-    options: WfsOptions,
-    violations: &[PredId],
-) -> Result<SolveOutput, ResumeError> {
-    solve_packaged_resumed_budgeted(
-        universe,
-        prev,
-        program,
-        new_facts,
-        options,
-        violations,
-        &SolveBudget::unlimited(),
-    )
-}
-
-/// [`solve_packaged_resumed`] under a [`SolveBudget`].
-///
-/// # Errors
-///
-/// Returns [`ResumeError`] when `prev`'s segment refuses to resume.
-#[allow(clippy::too_many_arguments)]
-pub fn solve_packaged_resumed_budgeted(
-    universe: &mut Universe,
-    prev: &WellFoundedModel,
-    program: &SkolemProgram,
-    new_facts: &[wfdl_core::AtomId],
-    options: WfsOptions,
-    violations: &[PredId],
-    solve_budget: &SolveBudget,
-) -> Result<SolveOutput, ResumeError> {
-    let (model, stats) =
-        solve_resumed_budgeted(universe, prev, program, new_facts, options, solve_budget)?;
-    let constraint_status = constraint_status(universe, &model, violations);
-    Ok(SolveOutput {
-        model,
-        constraint_status,
-        stats,
-    })
 }
 
 /// Computes the **conservative no-UNA approximation** used in the paper's
@@ -747,41 +682,17 @@ pub fn constraint_status(
 ) -> Vec<Truth> {
     violation_preds
         .iter()
-        .map(|&p| {
-            // Constraint lowering registers every violation pred as
-            // nullary, so the empty-args interning cannot fail.
-            #[allow(clippy::expect_used)]
-            let atom = universe.atom(p, Vec::new()).expect("nullary");
-            model.value(atom)
-        })
+        .map(|&p| violation_value(universe, model, p))
         .collect()
 }
 
-/// [`constraint_status`] for a slice-restricted model: a constraint
-/// whose violation predicate is **outside** the slice was not solved —
-/// its rules never fired — so it reports [`Truth::Unknown`] (reading the
-/// model would yield a spurious `False`). Violation predicates are
-/// nullary markers no rule body reads, so in practice every constraint
-/// is `Unknown` under a sliced solve unless its marker was named a goal.
-pub fn constraint_status_sliced(
-    universe: &mut Universe,
-    model: &WellFoundedModel,
-    violation_preds: &[PredId],
-    pred_mask: &[bool],
-) -> Vec<Truth> {
-    violation_preds
-        .iter()
-        .map(|&p| {
-            if !pred_mask.get(p.index()).copied().unwrap_or(false) {
-                return Truth::Unknown;
-            }
-            // Constraint lowering registers every violation pred as
-            // nullary, so the empty-args interning cannot fail.
-            #[allow(clippy::expect_used)]
-            let atom = universe.atom(p, Vec::new()).expect("nullary");
-            model.value(atom)
-        })
-        .collect()
+/// Truth of the violation marker `p()` in `model`.
+fn violation_value(universe: &mut Universe, model: &WellFoundedModel, p: PredId) -> Truth {
+    // Constraint lowering registers every violation pred as nullary, so
+    // the empty-args interning cannot fail.
+    #[allow(clippy::expect_used)]
+    let atom = universe.atom(p, Vec::new()).expect("nullary");
+    model.value(atom)
 }
 
 /// Outcome of [`solve_stable`].
@@ -816,30 +727,16 @@ pub fn solve_stable(
         depths: vec![depth],
         stable: false,
     };
-    let mut model = solve(
-        universe,
-        db,
-        program,
-        WfsOptions {
-            budget: ChaseBudget::depth(depth),
-            engine,
-            ..Default::default()
-        },
-    );
+    let mut solve_at = |depth: u32| {
+        let options = WfsOptions::depth(depth).with_engine(engine);
+        solve(SolveRequest::new(universe, db, program, options)).model
+    };
+    let mut model = solve_at(depth);
     let mut stable_rounds = 0u32;
     while !model.exact && depth < max_depth {
         depth = (depth + step).min(max_depth);
         report.depths.push(depth);
-        let next = solve(
-            universe,
-            db,
-            program,
-            WfsOptions {
-                budget: ChaseBudget::depth(depth),
-                engine,
-                ..Default::default()
-            },
-        );
+        let next = solve_at(depth);
         let agree = model
             .segment
             .atoms()
@@ -873,7 +770,10 @@ mod tests {
         ];
         let models: Vec<WellFoundedModel> = engines
             .iter()
-            .map(|&e| solve(&mut u, &db, &prog, WfsOptions::depth(6).with_engine(e)))
+            .map(|&e| {
+                let options = WfsOptions::depth(6).with_engine(e);
+                solve(SolveRequest::new(&mut u, &db, &prog, options)).model
+            })
             .collect();
         let reference = &models[0];
         for (m, e) in models.iter().zip(&engines).skip(1) {
@@ -892,7 +792,7 @@ mod tests {
     fn example4_key_verdicts() {
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
-        let model = solve(&mut u, &db, &prog, WfsOptions::depth(8));
+        let model = solve(SolveRequest::new(&mut u, &db, &prog, WfsOptions::depth(8))).model;
         let t = u.lookup_pred("T").unwrap();
         let s = u.lookup_pred("S").unwrap();
         let zero = u.lookup_constant("0").unwrap();
@@ -960,7 +860,7 @@ mod tests {
         let c = u.constant("c");
         let pc = u.atom(p, vec![c]).unwrap();
         db.insert(&u, pc).unwrap();
-        let model = solve(&mut u, &db, &sk, WfsOptions::unbounded());
+        let model = solve(SolveRequest::new(&mut u, &db, &sk, WfsOptions::unbounded())).model;
         let status = constraint_status(&mut u, &model, &viols);
         assert_eq!(status, vec![Truth::True, Truth::False]);
     }
@@ -969,7 +869,7 @@ mod tests {
     fn counts_and_render() {
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
-        let model = solve(&mut u, &db, &prog, WfsOptions::depth(5));
+        let model = solve(SolveRequest::new(&mut u, &db, &prog, WfsOptions::depth(5))).model;
         let (t, f, unk) = model.counts();
         assert!(t > 0 && f > 0);
         assert_eq!(unk, 0, "example 4 has a total well-founded model");

@@ -117,19 +117,20 @@ impl StageTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{solve, EngineKind, WfsOptions};
+    use crate::solver::{solve, EngineKind, SolveRequest, WfsOptions};
     use wfdl_chase::paper::example4;
     use wfdl_core::Universe;
 
     fn trace_example4(engine: EngineKind) -> (Universe, StageTrace) {
         let mut u = Universe::new();
         let (db, sigma) = example4(&mut u);
-        let model = solve(
+        let req = SolveRequest::new(
             &mut u,
             &db,
             &sigma,
             WfsOptions::depth(5).with_engine(engine),
         );
+        let model = solve(req).model;
         (u, StageTrace::from_result(&model.result))
     }
 

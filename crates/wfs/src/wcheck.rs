@@ -331,7 +331,7 @@ pub fn refute(seg: &ChaseSegment, interp: &Interp, atom: AtomId) -> Option<Refut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::{solve, WfsOptions};
+    use crate::solver::{solve, SolveRequest, WfsOptions};
     use wfdl_chase::paper::example4;
     use wfdl_core::Universe;
 
@@ -339,7 +339,7 @@ mod tests {
     fn decide_agrees_with_full_solve_on_example4() {
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
-        let model = solve(&mut u, &db, &prog, WfsOptions::depth(5));
+        let model = solve(SolveRequest::new(&mut u, &db, &prog, WfsOptions::depth(5))).model;
         for sa in model.segment.atoms() {
             assert_eq!(
                 decide(&model.ground, sa.atom),
@@ -354,7 +354,7 @@ mod tests {
     fn cone_is_smaller_than_program() {
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
-        let model = solve(&mut u, &db, &prog, WfsOptions::depth(8));
+        let model = solve(SolveRequest::new(&mut u, &db, &prog, WfsOptions::depth(8))).model;
         // The cone of R(0,0,1) (a fact) is tiny.
         let r = u.lookup_pred("R").unwrap();
         let zero = u.lookup_constant("0").unwrap();
@@ -369,7 +369,7 @@ mod tests {
     fn certificate_for_t0_verifies() {
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
-        let model = solve(&mut u, &db, &prog, WfsOptions::depth(6));
+        let model = solve(SolveRequest::new(&mut u, &db, &prog, WfsOptions::depth(6))).model;
         let t = u.lookup_pred("T").unwrap();
         let zero = u.lookup_constant("0").unwrap();
         let t0 = u.atom(t, vec![zero]).unwrap();
@@ -389,7 +389,7 @@ mod tests {
     fn tampered_certificate_fails_verification() {
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
-        let model = solve(&mut u, &db, &prog, WfsOptions::depth(6));
+        let model = solve(SolveRequest::new(&mut u, &db, &prog, WfsOptions::depth(6))).model;
         let t = u.lookup_pred("T").unwrap();
         let zero = u.lookup_constant("0").unwrap();
         let t0 = u.atom(t, vec![zero]).unwrap();
@@ -405,7 +405,7 @@ mod tests {
     fn refutation_explains_s0() {
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
-        let model = solve(&mut u, &db, &prog, WfsOptions::depth(6));
+        let model = solve(SolveRequest::new(&mut u, &db, &prog, WfsOptions::depth(6))).model;
         let s = u.lookup_pred("S").unwrap();
         let zero = u.lookup_constant("0").unwrap();
         let s0 = u.atom(s, vec![zero]).unwrap();
@@ -424,7 +424,7 @@ mod tests {
     fn refutation_of_absent_atom_is_no_derivation() {
         let mut u = Universe::new();
         let (db, prog) = example4(&mut u);
-        let model = solve(&mut u, &db, &prog, WfsOptions::depth(4));
+        let model = solve(SolveRequest::new(&mut u, &db, &prog, WfsOptions::depth(4))).model;
         let q = u.lookup_pred("Q").unwrap();
         let zero = u.lookup_constant("0").unwrap();
         let q0 = u.atom(q, vec![zero]).unwrap();

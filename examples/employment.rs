@@ -24,8 +24,8 @@ fn main() -> Result<(), wfdatalog::Error> {
     };
 
     // --- UNA (the paper's semantics) ------------------------------------
-    let mut kb = KnowledgeBase::from_ontology(&onto)?;
-    let model = kb.solve_with(WfsOptions::depth(6));
+    let mut kb = KnowledgeBase::from_ontology(&onto)?.with_options(WfsOptions::depth(6));
+    let model = kb.solve();
     println!("=== standard WFS under UNA ===");
     println!("{}", model.render_true());
 

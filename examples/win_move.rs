@@ -12,7 +12,7 @@
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use wfdatalog::wfs::{solve, WfsOptions};
+use wfdatalog::wfs::{solve, SolveRequest, WfsOptions};
 use wfdatalog::{Truth, Universe};
 use wfdl_gen::{winmove_database, winmove_sigma, WinMoveConfig};
 
@@ -33,7 +33,8 @@ fn main() {
     let db = winmove_database(&mut universe, &cfg);
     println!("game graph: {} positions, {} moves", nodes, db.len());
 
-    let model = solve(&mut universe, &db, &sigma, WfsOptions::unbounded());
+    let req = SolveRequest::new(&mut universe, &db, &sigma, WfsOptions::unbounded());
+    let model = solve(req).model;
     assert!(model.exact, "win-move chase always terminates");
 
     let win = universe.lookup_pred("win").unwrap();

@@ -508,14 +508,9 @@ fn lint(opts: &Options, source: &str) -> ExitCode {
 fn serve(opts: Options, kb: KnowledgeBase) -> ExitCode {
     // Persist the CLI solve options on the knowledge base so every
     // ingest-triggered re-solve uses them, not just the initial solve.
-    let mut wfs_options = match opts.depth {
-        Some(d) => WfsOptions::depth(d).with_engine(opts.engine),
-        None => kb.effective_options().with_engine(opts.engine),
-    };
-    if let Some(t) = opts.threads {
-        wfs_options = wfs_options.with_threads(t);
-    }
-    let kb = kb.with_options(wfs_options);
+    // `--deadline-ms` bounds each re-solve through `resolve_deadline`.
+    let options = wfs_options(&opts, &kb);
+    let kb = kb.with_options(options);
     let workers = opts.workers.unwrap_or(4).max(1);
     let serve_options = wfdatalog::serve::ServeOptions {
         addr: opts
@@ -557,28 +552,40 @@ fn serve(opts: Options, kb: KnowledgeBase) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Solves the knowledge base with the CLI's depth/engine options.
-fn solve(opts: &Options, mut kb: KnowledgeBase) -> std::sync::Arc<SolvedModel> {
-    let mut wfs_options = match opts.depth {
-        Some(d) => WfsOptions::depth(d).with_engine(opts.engine),
+/// The solver options the CLI flags ask for: `--depth`, `--engine` and
+/// `--threads`.
+fn wfs_options(opts: &Options, kb: &KnowledgeBase) -> WfsOptions {
+    let options = match opts.depth {
+        Some(d) => WfsOptions::depth(d),
         // Auto: unbounded when the program has no existentials, else
         // depth 12 (the KnowledgeBase default).
-        None => kb.effective_options().with_engine(opts.engine),
-    };
-    if let Some(t) = opts.threads {
-        wfs_options = wfs_options.with_threads(t);
+        None => kb.effective_options(),
     }
-    if opts.deadline_ms.is_some() || opts.mem_budget.is_some() {
-        let mut budget = SolveBudget::unlimited();
-        if let Some(ms) = opts.deadline_ms {
-            budget = budget.with_deadline_in(std::time::Duration::from_millis(ms));
-        }
-        if let Some(bytes) = opts.mem_budget {
-            budget = budget.with_mem_limit(bytes);
-        }
-        kb.set_solve_budget(budget);
+    .with_engine(opts.engine);
+    match opts.threads {
+        Some(t) => options.with_threads(t),
+        None => options,
     }
-    let model = match kb.try_solve_with(wfs_options) {
+}
+
+/// Persists the CLI's solve flags on the knowledge base: the
+/// [`wfs_options`], and the runtime budget `--deadline-ms` /
+/// `--mem-budget` ask for.
+fn configure(opts: &Options, kb: KnowledgeBase) -> KnowledgeBase {
+    let options = wfs_options(opts, &kb);
+    let mut budget = SolveBudget::unlimited();
+    if let Some(ms) = opts.deadline_ms {
+        budget = budget.with_deadline_in(std::time::Duration::from_millis(ms));
+    }
+    if let Some(bytes) = opts.mem_budget {
+        budget = budget.with_mem_limit(bytes);
+    }
+    kb.with_options(options).with_solve_budget(budget)
+}
+
+/// Solves the knowledge base with the CLI's solve flags.
+fn solve(opts: &Options, kb: KnowledgeBase) -> std::sync::Arc<SolvedModel> {
+    let model = match configure(opts, kb).try_solve() {
         Ok(model) => model,
         Err(e) => {
             eprintln!("wfdl: {e}");
@@ -671,27 +678,10 @@ fn query(opts: Options, kb: KnowledgeBase) -> ExitCode {
 /// over the query-relevant program slice ([`KnowledgeBase::solve_for`]).
 /// Answers are bit-identical to the full solve's; `--stats` reports the
 /// slice shape per query as a `% slice:` line.
-fn query_sliced(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
-    // Mirror `solve`'s option handling, persisted on the knowledge base
-    // so every per-query sliced solve uses it.
-    let mut wfs_options = match opts.depth {
-        Some(d) => WfsOptions::depth(d).with_engine(opts.engine),
-        None => kb.effective_options().with_engine(opts.engine),
-    };
-    if let Some(t) = opts.threads {
-        wfs_options = wfs_options.with_threads(t);
-    }
-    kb = kb.with_options(wfs_options);
-    if opts.deadline_ms.is_some() || opts.mem_budget.is_some() {
-        let mut budget = SolveBudget::unlimited();
-        if let Some(ms) = opts.deadline_ms {
-            budget = budget.with_deadline_in(std::time::Duration::from_millis(ms));
-        }
-        if let Some(bytes) = opts.mem_budget {
-            budget = budget.with_mem_limit(bytes);
-        }
-        kb.set_solve_budget(budget);
-    }
+fn query_sliced(opts: Options, kb: KnowledgeBase) -> ExitCode {
+    // Persisted on the knowledge base, so every per-query sliced solve
+    // uses the CLI's solve flags.
+    let mut kb = configure(&opts, kb);
     for (i, src) in opts.adhoc_queries.iter().enumerate() {
         let model = match kb.solve_for(src) {
             Ok(m) => m,

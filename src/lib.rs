@@ -189,6 +189,7 @@ pub use wfdl_wfs::{EngineKind, ModularStats, SolveStats, WellFoundedModel, WfsOp
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 use wfdl_storage::AtomIndex;
+use wfdl_wfs::{SolveOutput, SolveRequest};
 
 /// Unified error type for the high-level API.
 #[derive(Debug)]
@@ -600,21 +601,15 @@ impl KnowledgeBase {
     /// verdicts of every dependency component whose inputs did not change
     /// — cost proportional to the delta's consequences, not the database.
     /// Retractions, rule changes, or changed options recompute in full.
-    pub fn solve(&mut self) -> Arc<SolvedModel> {
-        self.solve_with(self.effective_options())
-    }
-
-    /// Solves with explicit options (cached and resumed under the same
-    /// rules as [`KnowledgeBase::solve`]).
     ///
     /// # Panics
     ///
     /// Re-raises a worker panic as a clean panic at this boundary (the
     /// knowledge base itself is left reusable). Use
-    /// [`KnowledgeBase::try_solve_with`] to get it as an
+    /// [`KnowledgeBase::try_solve`] to get it as an
     /// [`Error::EnginePanic`] instead.
-    pub fn solve_with(&mut self, options: WfsOptions) -> Arc<SolvedModel> {
-        match self.try_solve_with(options) {
+    pub fn solve(&mut self) -> Arc<SolvedModel> {
+        match self.try_solve() {
             Ok(model) => model,
             Err(e) => panic!("{e}"),
         }
@@ -629,87 +624,32 @@ impl KnowledgeBase {
     /// base is left coherent and reusable: the partial solve is discarded,
     /// and the next solve recomputes from scratch.
     pub fn try_solve(&mut self) -> Result<Arc<SolvedModel>, Error> {
-        self.try_solve_with(self.effective_options())
-    }
-
-    /// [`KnowledgeBase::solve_with`] with worker panics caught at the
-    /// engine boundary (see [`KnowledgeBase::try_solve`]).
-    ///
-    /// # Errors
-    ///
-    /// [`Error::EnginePanic`] if a solver worker panicked.
-    pub fn try_solve_with(&mut self, options: WfsOptions) -> Result<Arc<SolvedModel>, Error> {
-        // A budget-truncated cached model is never served from cache:
-        // re-solving may get further (the deadline moved, the token was
-        // replaced, the limit was raised), and the resume path below
-        // continues its chase from the stopping round even with an empty
-        // delta. Depth/cap truncations are deterministic properties of the
-        // program + options, so re-solving those would change nothing and
-        // they stay cacheable.
-        let cache_servable = |m: &SolvedModel| {
-            !m.model()
-                .outcome
-                .truncation()
-                .is_some_and(|r| r.is_budget_trip())
-        };
-        if let Some((cached_options, model)) = &self.last {
-            if *cached_options == options
-                && !self.needs_full
-                && self.delta.is_empty()
-                && !self.queries_dirty
-                && cache_servable(model)
-            {
-                return Ok(Arc::clone(model));
-            }
-        }
-        // Queries-only change (no delta, no rule change, same options):
-        // the model is provably identical — share it and its indexes, and
-        // only re-prepare the source queries against a fresh snapshot.
-        if let Some((cached_options, m)) = &self.last {
-            if *cached_options == options
-                && !self.needs_full
-                && self.delta.is_empty()
-                && cache_servable(m)
-            {
-                let source_queries = self
-                    .queries
-                    .iter()
-                    .cloned()
-                    .map(PreparedQuery::from_query)
-                    .collect();
-                let model = Arc::new(SolvedModel {
-                    // Current universe: query text may have interned new
-                    // names during `add_source`.
-                    universe: UniverseSnapshot::from_arc(Arc::clone(&self.universe)),
-                    model: Arc::clone(&m.model),
-                    constraint_status: m.constraint_status.clone(),
-                    source_queries,
-                    certain_index: Arc::clone(&m.certain_index),
-                    possible_index: Arc::clone(&m.possible_index),
-                    solve_stats: m.solve_stats,
-                    // Same underlying model → same epoch: the epoch tags
-                    // model *content*, not packaging.
-                    epoch: m.epoch,
-                    slice: None,
-                });
-                self.last = Some((options, Arc::clone(&model)));
-                self.queries_dirty = false;
-                return Ok(model);
-            }
-        }
-        // Insert-only delta with unchanged options: resume the previous
-        // solve instead of recomputing (requires a resumable segment —
-        // cap-truncated chases are discovery-order dependent).
-        let resume_from = match &self.last {
-            Some((last_options, model))
-                if *last_options == options
-                    && !self.needs_full
-                    && model.model().segment.can_resume() =>
-            {
+        let options = self.effective_options();
+        // The last model is the basis of this solve iff it ran under the
+        // same options and no rule changed and no fact was retracted since.
+        let basis = match &self.last {
+            Some((last_options, model)) if *last_options == options && !self.needs_full => {
                 Some(Arc::clone(model))
             }
             _ => None,
         };
+        let unchanged = basis
+            .as_ref()
+            .filter(|m| self.delta.is_empty() && m.servable_from_cache());
+        if let Some(model) = unchanged {
+            if !self.queries_dirty {
+                return Ok(Arc::clone(model));
+            }
+            // Queries-only change: the model is provably identical — share
+            // it and its indexes, and only re-prepare the source queries
+            // against a fresh snapshot (query text may have interned new
+            // names during `add_source`).
+            let snapshot = UniverseSnapshot::from_arc(Arc::clone(&self.universe));
+            let model = self.package(snapshot, Arc::clone(&model.solved), None);
+            self.last = Some((options, Arc::clone(&model)));
+            self.queries_dirty = false;
+            return Ok(model);
+        }
         // Get sole ownership of the universe before the chase interns its
         // nulls (a no-op clone unless a previous snapshot still shares it
         // and nothing was ingested since — ingestion already unshared it).
@@ -719,43 +659,21 @@ impl KnowledgeBase {
         // the error path purely for hygiene (the full recompute the next
         // solve takes reads the database, which already contains it).
         let delta = std::mem::take(&mut self.delta);
-        let solve_budget = self.solve_budget.clone();
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-            || -> Result<wfdl_wfs::SolveOutput, ResumeError> {
-                match &resume_from {
-                    Some(prev) => wfdl_wfs::solve_packaged_resumed_budgeted(
-                        universe,
-                        prev.model(),
-                        &self.sigma,
-                        &delta,
-                        options,
-                        &self.violations,
-                        &solve_budget,
-                    ),
-                    None => Ok(wfdl_wfs::solve_packaged_budgeted(
-                        universe,
-                        &self.database,
-                        &self.sigma,
-                        options,
-                        &self.violations,
-                        &solve_budget,
-                    )),
-                }
-            },
-        ));
+        let budget = self.solve_budget.clone();
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let req = SolveRequest::new(universe, &self.database, &self.sigma, options)
+                .budget(budget)
+                .violations(&self.violations);
+            // Resume the basis with the delta (a budget-truncated basis
+            // continues its chase even with an empty one); the solver
+            // re-chases in full when the basis segment cannot resume.
+            wfdl_wfs::solve(match &basis {
+                Some(prev) => req.resume(prev.model(), &delta),
+                None => req,
+            })
+        }));
         let output = match attempt {
-            Ok(Ok(output)) => output,
-            // A cap-truncated previous segment refused to resume: fall back
-            // to a full re-chase (same options, same budget). The database
-            // already holds the delta facts.
-            Ok(Err(_refused)) => wfdl_wfs::solve_packaged_budgeted(
-                universe,
-                &self.database,
-                &self.sigma,
-                options,
-                &self.violations,
-                &solve_budget,
-            ),
+            Ok(output) => output,
             Err(panic) => {
                 // Leave the knowledge base coherent: drop the cached model,
                 // restore the delta, and force the next solve to recompute
@@ -778,27 +696,10 @@ impl KnowledgeBase {
         // snapshot sees every atom the model mentions. Sharing the Arc is
         // O(1); the next mutation will copy-on-write.
         let snapshot = UniverseSnapshot::from_arc(Arc::clone(&self.universe));
-        let certain_index = AtomIndex::build(&snapshot, TruthSource::certain_atoms(&output.model));
-        let source_queries = self
-            .queries
-            .iter()
-            .cloned()
-            .map(PreparedQuery::from_query)
-            .collect();
         self.epoch += 1;
-        let model = Arc::new(SolvedModel {
-            universe: snapshot,
-            model: Arc::new(output.model),
-            constraint_status: output.constraint_status,
-            source_queries,
-            certain_index: Arc::new(certain_index),
-            possible_index: Arc::new(OnceLock::new()),
-            solve_stats: output.stats,
-            epoch: self.epoch,
-            slice: None,
-        });
+        let solved = Solved::freeze(&snapshot, output, self.epoch);
+        let model = self.package(snapshot, solved, None);
         self.last = Some((options, Arc::clone(&model)));
-        self.delta.clear();
         self.needs_full = false;
         self.queries_dirty = false;
         Ok(model)
@@ -855,68 +756,41 @@ impl KnowledgeBase {
         let prepared = wfdl_syntax::prepare_query(&self.universe, query_src)?;
         let goals = prepared.goal_preds();
         if let Some(c) = &self.sliced_last {
-            let cache_servable = !c
-                .model
-                .model()
-                .outcome
-                .truncation()
-                .is_some_and(|r| r.is_budget_trip());
             if c.options == options
                 && c.generation == self.generation
                 && c.goals == goals
-                && cache_servable
+                && c.model.servable_from_cache()
             {
                 return Ok(Arc::clone(&c.model));
             }
         }
         let slice = ProgramSlice::compute(self.universe.num_preds(), &self.sigma, &goals);
-        // Memo compose: offer the last full solve's per-component verdicts
-        // under the same options. The engine's fingerprint + atom-set
-        // check rejects stale components on its own, so a pending delta
-        // only makes the memo less effective, never unsound.
-        let memo_prev = match &self.last {
-            Some((last_options, model)) if *last_options == options => Some(model.model()),
-            _ => None,
-        };
         // The sliced chase interns its nulls into a *clone* of the
         // universe: the knowledge base's own state (delta, resume segment,
         // cached full model) stays untouched.
         let mut universe = (*self.universe).clone();
-        let mut output = wfdl_wfs::solve_sliced_packaged_budgeted(
-            &mut universe,
-            &self.database,
-            &self.sigma,
-            options,
-            &self.violations,
-            &self.solve_budget,
-            &slice.pred_mask,
-            memo_prev,
-        );
+        let req = SolveRequest::new(&mut universe, &self.database, &self.sigma, options)
+            .budget(self.solve_budget.clone())
+            .violations(&self.violations)
+            .slice(&slice.pred_mask);
+        // Memo compose: offer the last full solve's per-component verdicts
+        // under the same options. The engine's fingerprint + atom-set
+        // check rejects stale components on its own, so a pending delta
+        // only makes the memo less effective, never unsound.
+        let mut output = wfdl_wfs::solve(match &self.last {
+            Some((last_options, model)) if *last_options == options => req.memo(model.model()),
+            _ => req,
+        });
         output.stats.slice_components = slice.components_in_slice;
         output.stats.total_components = slice.components_total;
-        let truncated = output
-            .model
-            .outcome
-            .truncation()
-            .is_some_and(|r| r.is_budget_trip());
         let snapshot = UniverseSnapshot::from_arc(Arc::new(universe));
-        let certain_index = AtomIndex::build(&snapshot, TruthSource::certain_atoms(&output.model));
-        let model = Arc::new(SolvedModel {
-            universe: snapshot,
-            model: Arc::new(output.model),
-            constraint_status: output.constraint_status,
-            source_queries: Vec::new(),
-            certain_index: Arc::new(certain_index),
-            possible_index: Arc::new(OnceLock::new()),
-            solve_stats: output.stats,
-            // Sliced models are views of the same data the last full-solve
-            // epoch would see; they never advance the epoch counter.
-            epoch: self.epoch,
-            slice: Some(slice.pred_mask),
-        });
+        // Sliced models are views of the same data the last full-solve
+        // epoch would see; they never advance the epoch counter.
+        let solved = Solved::freeze(&snapshot, output, self.epoch);
+        let model = self.package(snapshot, solved, Some(slice.pred_mask));
         // A budget-truncated sliced model is served once but never cached:
         // re-solving under a moved deadline may get further.
-        if !truncated {
+        if model.servable_from_cache() {
             self.sliced_last = Some(SlicedCache {
                 options,
                 goals,
@@ -925,6 +799,34 @@ impl KnowledgeBase {
             });
         }
         Ok(model)
+    }
+
+    /// The one place a [`SolvedModel`] is assembled: wraps a solve's
+    /// shared artifact with the universe snapshot it is read against and
+    /// the source queries prepared against that snapshot. A sliced model
+    /// (`slice` is its predicate mask) carries no source queries — they
+    /// may read predicates outside the slice.
+    fn package(
+        &self,
+        universe: UniverseSnapshot,
+        solved: Arc<Solved>,
+        slice: Option<Vec<bool>>,
+    ) -> Arc<SolvedModel> {
+        let source_queries = match slice {
+            Some(_) => Vec::new(),
+            None => self
+                .queries
+                .iter()
+                .cloned()
+                .map(PreparedQuery::from_query)
+                .collect(),
+        };
+        Arc::new(SolvedModel {
+            universe,
+            solved,
+            source_queries,
+            slice,
+        })
     }
 
     // ----- read-only accessors ----------------------------------------
@@ -1018,18 +920,41 @@ pub struct SolvedModel {
     universe: UniverseSnapshot,
     /// Shared with sibling packagings of the same solve: a queries-only
     /// change re-wraps the identical model instead of re-solving.
-    model: Arc<WellFoundedModel>,
-    constraint_status: Vec<Truth>,
+    solved: Arc<Solved>,
     source_queries: Vec<PreparedQuery>,
-    certain_index: Arc<AtomIndex>,
-    possible_index: Arc<OnceLock<AtomIndex>>,
-    solve_stats: SolveStats,
-    epoch: u64,
     /// `Some(pred_mask)` for goal-directed models
     /// ([`KnowledgeBase::solve_for`]): the relevance-closed predicate
     /// slice this model was solved under. Queries are checked against it
     /// at preparation time — see [`SolvedModel::prepare_sliced`].
     slice: Option<Vec<bool>>,
+}
+
+/// What one engine run produced, with its query indexes: the part of a
+/// [`SolvedModel`] every packaging of that run shares.
+#[derive(Debug)]
+struct Solved {
+    model: WellFoundedModel,
+    constraint_status: Vec<Truth>,
+    certain_index: AtomIndex,
+    possible_index: OnceLock<AtomIndex>,
+    stats: SolveStats,
+    epoch: u64,
+}
+
+impl Solved {
+    /// Builds the index over the certain atoms of `output`'s model (the
+    /// three-valued index is built lazily on first use).
+    fn freeze(universe: &Universe, output: SolveOutput, epoch: u64) -> Arc<Solved> {
+        let certain_index = AtomIndex::build(universe, TruthSource::certain_atoms(&output.model));
+        Arc::new(Solved {
+            model: output.model,
+            constraint_status: output.constraint_status,
+            certain_index,
+            possible_index: OnceLock::new(),
+            stats: output.stats,
+            epoch,
+        })
+    }
 }
 
 impl SolvedModel {
@@ -1178,22 +1103,25 @@ impl SolvedModel {
 
     /// Evaluates a prepared Boolean query (certain-answer semantics).
     pub fn ask_prepared(&self, query: &PreparedQuery) -> bool {
-        query.holds_with(&self.universe, &*self.model, &self.certain_index)
+        let s = &*self.solved;
+        query.holds_with(&self.universe, &s.model, &s.certain_index)
     }
 
     /// Three-valued evaluation of a prepared query.
     pub fn ask3_prepared(&self, query: &PreparedQuery) -> Truth {
+        let s = &*self.solved;
         query.holds3_with(
             &self.universe,
-            &*self.model,
-            &self.certain_index,
+            &s.model,
+            &s.certain_index,
             self.possible_index(),
         )
     }
 
     /// Certain answers of a prepared query.
     pub fn answers_prepared(&self, query: &PreparedQuery) -> AnswerSet {
-        query.answers_with(&self.universe, &*self.model, &self.certain_index)
+        let s = &*self.solved;
+        query.answers_with(&self.universe, &s.model, &s.certain_index)
     }
 
     /// Evaluates a batch of prepared queries, returning one answer set per
@@ -1223,23 +1151,23 @@ impl SolvedModel {
     /// The underlying well-founded model (segment, ground program, engine
     /// result).
     pub fn model(&self) -> &WellFoundedModel {
-        &self.model
+        &self.solved.model
     }
 
     /// Truth value of a ground atom under `WFS(D, Σ)`.
     pub fn value(&self, atom: AtomId) -> Truth {
-        self.model.value(atom)
+        self.solved.model.value(atom)
     }
 
     /// True iff the chase quiesced within budget, making the model exact.
     pub fn exact(&self) -> bool {
-        self.model.exact
+        self.solved.model.exact
     }
 
     /// Whether the solve ran to its fixpoint or was truncated (and why):
     /// depth/cap bounds, a deadline, a cancellation, or a memory budget.
     pub fn outcome(&self) -> SolveOutcome {
-        self.model.outcome
+        self.solved.model.outcome
     }
 
     /// True iff query answers from this model are **under-approximate**:
@@ -1247,13 +1175,25 @@ impl SolvedModel {
     /// answers the complete model would return may be missing (they read
     /// `Unknown` here).
     pub fn under_approximate(&self) -> bool {
-        !self.model.outcome.is_complete()
+        !self.outcome().is_complete()
+    }
+
+    /// False iff a budget trip truncated this model: re-solving may then
+    /// get further (the deadline moved, the token was replaced, the limit
+    /// was raised), so it is never served from cache. Depth/cap
+    /// truncations are deterministic properties of the program and
+    /// options, so re-solving those would change nothing.
+    fn servable_from_cache(&self) -> bool {
+        !self
+            .outcome()
+            .truncation()
+            .is_some_and(TruncationReason::is_budget_trip)
     }
 
     /// How this model was produced: whether the solve was incremental and
     /// how many dependency components reused their previous verdicts.
     pub fn solve_stats(&self) -> SolveStats {
-        self.solve_stats
+        self.solved.stats
     }
 
     /// The model's epoch: a monotonically increasing counter over the
@@ -1265,14 +1205,14 @@ impl SolvedModel {
     /// hot-swap visibility: a request that pinned epoch `e` answers
     /// exactly as the direct API against the epoch-`e` model.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.solved.epoch
     }
 
     /// Truth of each constraint's violation marker, in source order:
     /// `True` = surely violated, `Unknown` = possibly violated,
     /// `False` = safe.
     pub fn constraint_status(&self) -> &[Truth] {
-        &self.constraint_status
+        &self.solved.constraint_status
     }
 
     /// Looks up a ground atom `pred(constants…)` by names.
@@ -1307,12 +1247,15 @@ impl SolvedModel {
     /// Renders the true atoms (non-auxiliary predicates) sorted, one per
     /// line.
     pub fn render_true(&self) -> String {
-        self.model.render_true(&self.universe)
+        self.solved.model.render_true(&self.universe)
     }
 
     fn possible_index(&self) -> &AtomIndex {
-        self.possible_index.get_or_init(|| {
-            AtomIndex::build(&self.universe, TruthSource::possible_atoms(&*self.model))
+        self.solved.possible_index.get_or_init(|| {
+            AtomIndex::build(
+                &self.universe,
+                TruthSource::possible_atoms(&self.solved.model),
+            )
         })
     }
 }
@@ -1441,9 +1384,11 @@ mod tests {
         let m2 = kb.solve();
         assert!(Arc::ptr_eq(&m1, &m2), "no mutation → cached model");
         // Different options recompute…
-        let m3 = kb.solve_with(WfsOptions::depth(3));
+        let mut kb = kb.with_options(WfsOptions::depth(3));
+        let m3 = kb.solve();
         assert!(!Arc::ptr_eq(&m1, &m3));
         // …and the default options now miss the (single-entry) cache.
+        let mut kb = kb.with_options(WfsOptions::unbounded());
         let m4 = kb.solve();
         assert!(!Arc::ptr_eq(&m1, &m4));
         assert!(m4.ask("?- q(a).").unwrap());

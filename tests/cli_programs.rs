@@ -15,9 +15,9 @@ fn load_program(name: &str) -> KnowledgeBase {
 
 #[test]
 fn example4_program_file() {
-    let mut kb = load_program("example4.dl");
+    let mut kb = load_program("example4.dl").with_options(WfsOptions::depth(7));
     assert_eq!(kb.queries().len(), 3);
-    let model = kb.solve_with(WfsOptions::depth(7));
+    let model = kb.solve();
     let expected = [Truth::True, Truth::False, Truth::True];
     assert_eq!(model.source_queries().len(), 3);
     for (q, want) in model.source_queries().iter().zip(expected) {
@@ -27,8 +27,8 @@ fn example4_program_file() {
 
 #[test]
 fn employment_program_file() {
-    let mut kb = load_program("employment.dl");
-    let model = kb.solve_with(WfsOptions::depth(6));
+    let mut kb = load_program("employment.dl").with_options(WfsOptions::depth(6));
+    let model = kb.solve();
     assert!(model.ask("?- validId(I).").unwrap());
     // b is the only unemployed person.
     let ans = model.answers("?(X) person(X), not employed(X).").unwrap();

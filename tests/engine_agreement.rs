@@ -9,8 +9,8 @@
 use proptest::prelude::*;
 use wfdatalog::storage::{GroundProgram, GroundProgramBuilder, GroundRule};
 use wfdatalog::wfs::{
-    perfect_model, solve, stratify, AlternatingEngine, EngineKind, ModularEngine, StepMode,
-    WfsOptions, WpEngine,
+    perfect_model, solve, stratify, AlternatingEngine, EngineKind, ModularEngine, SolveRequest,
+    StepMode, WfsOptions, WpEngine,
 };
 use wfdatalog::{AtomId, Truth, Universe};
 use wfdl_gen::{
@@ -135,14 +135,15 @@ fn engines_agree_on_random_guarded_workloads() {
             },
         );
         let opts = WfsOptions::depth(5).with_engine(EngineKind::Wp);
-        let reference = solve(&mut u, &db, &w.sigma, opts);
+        let reference = solve(SolveRequest::new(&mut u, &db, &w.sigma, opts)).model;
         for engine in [
             EngineKind::Modular,
             EngineKind::WpLiteral,
             EngineKind::Alternating,
             EngineKind::Forward,
         ] {
-            let other = solve(&mut u, &db, &w.sigma, opts.with_engine(engine));
+            let req = SolveRequest::new(&mut u, &db, &w.sigma, opts.with_engine(engine));
+            let other = solve(req).model;
             for sa in reference.segment.atoms() {
                 assert_eq!(
                     reference.value(sa.atom),
@@ -178,7 +179,8 @@ fn wfs_equals_perfect_model_on_stratified_workloads() {
                 ..Default::default()
             },
         );
-        let model = solve(&mut u, &db, &w.sigma, WfsOptions::unbounded());
+        let req = SolveRequest::new(&mut u, &db, &w.sigma, WfsOptions::unbounded());
+        let model = solve(req).model;
         assert!(model.exact);
         let perfect = perfect_model(&u, &model.ground, &strat);
         for &a in model.ground.atoms() {
@@ -213,12 +215,14 @@ fn modular_agrees_on_winmove_graphs_with_unknowns() {
             },
         );
         let opts = WfsOptions::unbounded();
-        let modular = solve(&mut u, &db, &sigma, opts.with_engine(EngineKind::Modular));
+        let req = SolveRequest::new(&mut u, &db, &sigma, opts.with_engine(EngineKind::Modular));
+        let modular = solve(req).model;
         assert!(modular.exact);
         let stats = modular.component_stats().expect("modular stats");
         saw_recursive |= stats.recursive_components > 0;
         for engine in [EngineKind::Wp, EngineKind::Alternating, EngineKind::Forward] {
-            let other = solve(&mut u, &db, &sigma, opts.with_engine(engine));
+            let req = SolveRequest::new(&mut u, &db, &sigma, opts.with_engine(engine));
+            let other = solve(req).model;
             for sa in modular.segment.atoms() {
                 let v = modular.value(sa.atom);
                 saw_unknowns |= v.is_unknown();
@@ -247,7 +251,8 @@ fn deepening_is_stable_on_example4() {
     for depth in [3u32, 5, 7, 9] {
         let mut u = Universe::new();
         let (db, sigma) = wfdatalog::chase::paper::example4(&mut u);
-        let model = solve(&mut u, &db, &sigma, WfsOptions::depth(depth));
+        let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(depth));
+        let model = solve(req).model;
         if let Some((pu, pm)) = &prev {
             for sa in pm.segment.atoms() {
                 // Look the same atom up in the new universe by rendering

@@ -105,7 +105,10 @@ fn true_lines(model: &SolvedModel) -> std::collections::BTreeSet<String> {
 
 /// The uninterrupted reference for a given fact set.
 fn reference(with_delta: bool, threads: usize) -> (String, String, Vec<String>) {
-    let model = kb(with_delta).try_solve_with(options(threads)).unwrap();
+    let model = kb(with_delta)
+        .with_options(options(threads))
+        .try_solve()
+        .unwrap();
     assert!(model.outcome().is_complete(), "reference must be complete");
     observe(&model)
 }
@@ -120,10 +123,10 @@ fn every_trip_site_degrades_soundly_and_recovers() {
         for site in sites() {
             for (kind, reason) in TRIP_KINDS {
                 let label = format!("{site:?}/{kind:?}/threads={threads}");
-                let mut kb = kb(false);
+                let mut kb = kb(false).with_options(options(threads));
                 kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan { site, kind }));
                 let truncated = kb
-                    .try_solve_with(options(threads))
+                    .try_solve()
                     .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
                 assert_eq!(
                     truncated.outcome().truncation(),
@@ -145,7 +148,7 @@ fn every_trip_site_degrades_soundly_and_recovers() {
                 // Recovery: clearing the budget re-solves bit-identically.
                 kb.set_solve_budget(SolveBudget::unlimited());
                 let recovered = kb
-                    .try_solve_with(options(threads))
+                    .try_solve()
                     .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
                 assert!(recovered.outcome().is_complete(), "{label}");
                 assert_eq!(
@@ -165,12 +168,12 @@ fn every_panic_site_is_contained_and_recoverable() {
         let reference_obs = reference(false, threads);
         for site in sites() {
             let label = format!("{site:?}/Panic/threads={threads}");
-            let mut kb = kb(false);
+            let mut kb = kb(false).with_options(options(threads));
             kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
                 site,
                 kind: FaultKind::Panic,
             }));
-            match kb.try_solve_with(options(threads)) {
+            match kb.try_solve() {
                 Err(wfdatalog::Error::EnginePanic(msg)) => {
                     assert!(msg.contains("injected fault"), "{label}: {msg}");
                 }
@@ -179,7 +182,7 @@ fn every_panic_site_is_contained_and_recoverable() {
             }
             kb.set_solve_budget(SolveBudget::unlimited());
             let recovered = kb
-                .try_solve_with(options(threads))
+                .try_solve()
                 .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
             assert!(recovered.outcome().is_complete(), "{label}");
             assert_eq!(
@@ -200,8 +203,8 @@ fn resume_boundary_faults_leave_incremental_state_clean() {
         let union_obs = reference(true, threads);
         for (kind, reason) in TRIP_KINDS {
             let label = format!("ResumeBoundary/{kind:?}/threads={threads}");
-            let mut kb = kb(false);
-            let base = kb.try_solve_with(options(threads)).unwrap();
+            let mut kb = kb(false).with_options(options(threads));
+            let base = kb.try_solve().unwrap();
             assert!(base.outcome().is_complete());
             kb.insert_tsv(DELTA).unwrap();
             kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
@@ -209,11 +212,11 @@ fn resume_boundary_faults_leave_incremental_state_clean() {
                 kind,
             }));
             let truncated = kb
-                .try_solve_with(options(threads))
+                .try_solve()
                 .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
             assert_eq!(truncated.outcome().truncation(), Some(reason), "{label}");
             kb.set_solve_budget(SolveBudget::unlimited());
-            let recovered = kb.try_solve_with(options(threads)).unwrap();
+            let recovered = kb.try_solve().unwrap();
             assert!(recovered.outcome().is_complete(), "{label}");
             assert_eq!(
                 observe(&recovered),
@@ -224,20 +227,20 @@ fn resume_boundary_faults_leave_incremental_state_clean() {
         // Panic during the resume: delta is restored, next solve re-chases
         // from scratch and still lands on the union model bit-for-bit.
         let label = format!("ResumeBoundary/Panic/threads={threads}");
-        let mut kb = kb(false);
-        kb.try_solve_with(options(threads)).unwrap();
+        let mut kb = kb(false).with_options(options(threads));
+        kb.try_solve().unwrap();
         kb.insert_tsv(DELTA).unwrap();
         kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
             site: FaultSite::ResumeBoundary,
             kind: FaultKind::Panic,
         }));
-        match kb.try_solve_with(options(threads)) {
+        match kb.try_solve() {
             Err(wfdatalog::Error::EnginePanic(_)) => {}
             Err(other) => panic!("{label}: wrong error: {other}"),
             Ok(_) => panic!("{label}: panic must not produce a model"),
         }
         kb.set_solve_budget(SolveBudget::unlimited());
-        let recovered = kb.try_solve_with(options(threads)).unwrap();
+        let recovered = kb.try_solve().unwrap();
         assert!(recovered.outcome().is_complete(), "{label}");
         assert_eq!(observe(&recovered), union_obs, "{label}");
     }
@@ -248,12 +251,12 @@ fn resume_boundary_faults_leave_incremental_state_clean() {
 /// panicking (regression for the old `resume_with` cap panic).
 #[test]
 fn cap_truncated_segment_falls_back_to_full_rechase() {
-    let mut kb = kb(false);
     // Tiny atom cap: the chase peters out mid-way with `AtomCap`.
     let opts = WfsOptions::unbounded().with_threads(1);
     let mut capped = opts;
     capped.budget = capped.budget.with_max_atoms(4);
-    let first = kb.try_solve_with(capped).unwrap();
+    let mut kb = kb(false).with_options(capped);
+    let first = kb.try_solve().unwrap();
     assert_eq!(
         first.outcome().truncation(),
         Some(TruncationReason::AtomCap),
@@ -262,11 +265,12 @@ fn cap_truncated_segment_falls_back_to_full_rechase() {
     kb.insert_tsv(DELTA).unwrap();
     // The capped segment cannot be resumed; the solver must silently fall
     // back to a full re-chase of base + delta under the same cap.
-    let second = kb.try_solve_with(capped).unwrap();
+    let second = kb.try_solve().unwrap();
     let q = second.prepare("?(X) win(X).").unwrap();
     let _ = second.answers_prepared(&q);
     // And with the cap lifted the same KB reaches the uncapped union model.
-    let full = kb.try_solve_with(opts).unwrap();
+    let mut kb = kb.with_options(opts);
+    let full = kb.try_solve().unwrap();
     assert!(full.outcome().is_complete());
     assert_eq!(observe(&full), reference(true, 1));
 }

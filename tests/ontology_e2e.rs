@@ -25,8 +25,10 @@ fn scaled_employment_invariants() {
             .filter(|(c, _)| c == "Employed")
             .map(|(_, i)| i.clone())
             .collect();
-        let mut kb = KnowledgeBase::from_ontology(&onto).unwrap();
-        let model = kb.solve_with(WfsOptions::depth(5));
+        let mut kb = KnowledgeBase::from_ontology(&onto)
+            .unwrap()
+            .with_options(WfsOptions::depth(5));
+        let model = kb.solve();
 
         for i in 0..n {
             let person = format!("per{i}");

@@ -6,7 +6,7 @@
 
 use wfdatalog::chase::{paper, ChaseBudget, ChaseSegment, ExplicitForest};
 use wfdatalog::ontology::{example1, example2_abox, example2_tbox, Ontology};
-use wfdatalog::wfs::{solve, solver::solve_no_una, EngineKind, WfsOptions};
+use wfdatalog::wfs::{solve, solver::solve_no_una, EngineKind, SolveRequest, WfsOptions};
 use wfdatalog::{KnowledgeBase, Truth, Universe};
 
 /// Example 1: the literature ontology and its BCQ.
@@ -31,8 +31,10 @@ fn example2_unique_name_assumption_matters() {
         tbox: example2_tbox(),
         abox: example2_abox(),
     };
-    let mut kb = KnowledgeBase::from_ontology(&onto).unwrap();
-    let model = kb.solve_with(WfsOptions::depth(6));
+    let mut kb = KnowledgeBase::from_ontology(&onto)
+        .unwrap()
+        .with_options(WfsOptions::depth(6));
+    let model = kb.solve();
 
     // The paper: EmployeeID(a, f(a)) and JobSeekerID(b, g(b)) derived.
     assert!(model.ask("?- EmployeeID(a, X).").unwrap());
@@ -69,12 +71,13 @@ fn example4_model_verdicts() {
         EngineKind::Alternating,
         EngineKind::Forward,
     ] {
-        let model = solve(
+        let req = SolveRequest::new(
             &mut u,
             &db,
             &sigma,
             WfsOptions::depth(7).with_engine(engine),
         );
+        let model = solve(req).model;
         let atom = |p: &str, args: &[wfdatalog::core::TermId]| {
             let pid = u.lookup_pred(p).unwrap();
             u.atoms.lookup(pid, args)
@@ -157,8 +160,9 @@ fn example4_via_surface_syntax() {
         p(X,Y), not s(X) -> t(X).
         "#,
     )
-    .unwrap();
-    let model = kb.solve_with(WfsOptions::depth(7));
+    .unwrap()
+    .with_options(WfsOptions::depth(7));
+    let model = kb.solve();
     assert!(model.ask("?- t(0).").unwrap());
     assert!(!model.ask("?- s(0).").unwrap());
     assert_eq!(model.ask3("?- s(0).").unwrap(), Truth::False);

@@ -23,7 +23,7 @@
 
 use proptest::prelude::*;
 use wfdatalog::storage::{GroundProgram, GroundProgramBuilder, GroundRule};
-use wfdatalog::wfs::{solve, solve_resumed, EngineKind, ModularEngine, WfsOptions};
+use wfdatalog::wfs::{solve, EngineKind, ModularEngine, SolveRequest, WfsOptions};
 use wfdatalog::{AtomId, Truth, Universe};
 use wfdl_gen::{
     chain_database, example4_sigma, fanout_database, fanout_sigma, random_database, random_program,
@@ -78,10 +78,10 @@ fn assert_solve_bit_identical(
     options: WfsOptions,
     context: &str,
 ) {
-    let serial = solve(u, db, sigma, options.with_threads(1));
+    let serial = solve(SolveRequest::new(u, db, sigma, options.with_threads(1))).model;
     assert_eq!(serial.segment.stats().threads, 1, "{context}");
     for &t in &THREADS {
-        let par = solve(u, db, sigma, options.with_threads(t));
+        let par = solve(SolveRequest::new(u, db, sigma, options.with_threads(t))).model;
         assert_eq!(par.exact, serial.exact, "{context}");
         assert_eq!(par.counts(), serial.counts(), "{context}: {t} threads");
 
@@ -194,7 +194,8 @@ fn parallel_agrees_on_winmove_draw_graphs() {
                 seed,
             },
         );
-        let model = solve(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let model = solve(req).model;
         saw_unknowns |= model.counts().2 > 0;
         assert_engine_bit_identical(&model.ground, &format!("winmove seed {seed}"));
         assert_solve_bit_identical(
@@ -299,7 +300,8 @@ fn parallel_incremental_resolve_matches_serial_scratch() {
         let mut u_ref = Universe::new();
         let sigma_ref = example4_sigma(&mut u_ref);
         let db_ref = chain_database(&mut u_ref, seeds + 2);
-        let reference = solve(&mut u_ref, &db_ref, &sigma_ref, WfsOptions::depth(6));
+        let req = SolveRequest::new(&mut u_ref, &db_ref, &sigma_ref, WfsOptions::depth(6));
+        let reference = solve(req).model;
         let want = observe(&reference, &u_ref);
 
         for &t in &[1usize, 2, 4, 8] {
@@ -307,7 +309,7 @@ fn parallel_incremental_resolve_matches_serial_scratch() {
             let sigma = example4_sigma(&mut u);
             let base = chain_database(&mut u, seeds);
             let options = WfsOptions::depth(6).with_threads(t);
-            let prev = solve(&mut u, &base, &sigma, options);
+            let prev = solve(SolveRequest::new(&mut u, &base, &sigma, options)).model;
 
             // Delta: two more chain seeds, inserted as facts
             // (`chain_database` re-interns the shared prefix, so only the
@@ -320,8 +322,11 @@ fn parallel_incremental_resolve_matches_serial_scratch() {
                 .filter(|f| !base.contains(*f))
                 .collect();
             assert_eq!(new_facts.len(), 4, "two fresh seeds = four facts");
-            let (inc, stats) =
-                solve_resumed(&mut u, &prev, &sigma, &new_facts, options).expect("resumable");
+            let req =
+                SolveRequest::new(&mut u, &delta_db, &sigma, options).resume(&prev, &new_facts);
+            let wfdatalog::wfs::SolveOutput {
+                model: inc, stats, ..
+            } = solve(req);
             assert!(stats.incremental);
             assert!(
                 stats.components_reused > 0,
@@ -345,7 +350,8 @@ fn parallel_incremental_resolve_matches_serial_scratch() {
                 let mut u2 = Universe::new();
                 let sigma2 = example4_sigma(&mut u2);
                 let base2 = chain_database(&mut u2, seeds);
-                let prev2 = solve(&mut u2, &base2, &sigma2, WfsOptions::depth(6));
+                let req = SolveRequest::new(&mut u2, &base2, &sigma2, WfsOptions::depth(6));
+                let prev2 = solve(req).model;
                 let delta2 = chain_database(&mut u2, seeds + 2);
                 let facts2: Vec<AtomId> = delta2
                     .facts()
@@ -353,9 +359,8 @@ fn parallel_incremental_resolve_matches_serial_scratch() {
                     .copied()
                     .filter(|f| !base2.contains(*f))
                     .collect();
-                let (_, s2) =
-                    solve_resumed(&mut u2, &prev2, &sigma2, &facts2, WfsOptions::depth(6))
-                        .expect("resumable");
+                let req = SolveRequest::new(&mut u2, &delta2, &sigma2, WfsOptions::depth(6));
+                let s2 = solve(req.resume(&prev2, &facts2)).stats;
                 assert_eq!(stats.components_reused, s2.components_reused, "threads {t}");
             }
         }
@@ -369,15 +374,13 @@ fn global_engines_ignore_threads_and_agree() {
     let mut u = Universe::new();
     let sigma = winmove_sigma(&mut u);
     let db = winmove_database(&mut u, &WinMoveConfig::default());
-    let modular = solve(&mut u, &db, &sigma, WfsOptions::unbounded().with_threads(4));
-    let wp = solve(
-        &mut u,
-        &db,
-        &sigma,
-        WfsOptions::unbounded()
-            .with_engine(EngineKind::Wp)
-            .with_threads(4),
-    );
+    let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded().with_threads(4));
+    let modular = solve(req).model;
+    let options = WfsOptions::unbounded()
+        .with_engine(EngineKind::Wp)
+        .with_threads(4);
+    let req = SolveRequest::new(&mut u, &db, &sigma, options);
+    let wp = solve(req).model;
     for sa in modular.segment.atoms() {
         assert_eq!(modular.value(sa.atom), wp.value(sa.atom));
     }
@@ -392,7 +395,8 @@ fn parallel_path_win_values_are_exact() {
         let mut u = Universe::new();
         let sigma = winmove_sigma(&mut u);
         let db = wfdl_gen::winmove_path(&mut u, 5);
-        let model = solve(&mut u, &db, &sigma, WfsOptions::unbounded().with_threads(t));
+        let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded().with_threads(t));
+        let model = solve(req).model;
         let win = u.lookup_pred("win").unwrap();
         let value = |i: usize| {
             let n = u.lookup_constant(&format!("n{i}")).unwrap();

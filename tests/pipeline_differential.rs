@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use wfdatalog::syntax::{print_database, print_skolem_program};
-use wfdatalog::wfs::{solve, EngineKind, WfsOptions};
+use wfdatalog::wfs::{solve, EngineKind, SolveRequest, WfsOptions};
 use wfdatalog::{KnowledgeBase, Universe};
 use wfdl_gen::{random_database, random_program, RandomConfig, RandomDbConfig};
 
@@ -48,15 +48,17 @@ fn printed_programs_solve_identically() {
                 ..Default::default()
             },
         );
-        let direct = solve(&mut u, &db, &w.sigma, WfsOptions::depth(4));
+        let req = SolveRequest::new(&mut u, &db, &w.sigma, WfsOptions::depth(4));
+        let direct = solve(req).model;
         let direct_fp = fingerprint(&u, &direct);
 
         // Text round trip: print Σf + D, re-parse, re-solve.
         let mut text = print_skolem_program(&u, &w.sigma);
         text.push_str(&print_database(&u, &db));
         let mut kb = KnowledgeBase::from_source(&text)
-            .unwrap_or_else(|e| panic!("seed {seed}: printed program must parse: {e}\n{text}"));
-        let reparsed = kb.solve_with(WfsOptions::depth(4));
+            .unwrap_or_else(|e| panic!("seed {seed}: printed program must parse: {e}\n{text}"))
+            .with_options(WfsOptions::depth(4));
+        let reparsed = kb.solve();
         let reparsed_fp = fingerprint(reparsed.universe(), reparsed.model());
 
         assert_eq!(
@@ -65,7 +67,7 @@ fn printed_programs_solve_identically() {
         );
 
         // And the alternating engine agrees on the re-parsed program.
-        let alt = kb.solve_with(WfsOptions::depth(4).with_engine(EngineKind::Alternating));
+        let alt = kb.with_engine(EngineKind::Alternating).solve();
         assert_eq!(
             reparsed_fp,
             fingerprint(alt.universe(), alt.model()),
@@ -84,8 +86,10 @@ fn ontology_text_round_trip() {
         Person(a). Person(b). Employed(a).
     "#;
     let onto = wfdatalog::ontology::parse_ontology(src).unwrap();
-    let mut kb = KnowledgeBase::from_ontology(&onto).unwrap();
-    let model = kb.solve_with(WfsOptions::depth(6));
+    let mut kb = KnowledgeBase::from_ontology(&onto)
+        .unwrap()
+        .with_options(WfsOptions::depth(6));
+    let model = kb.solve();
     assert!(model.ask("?- ValidID(X).").unwrap());
     assert!(model.ask("?- EmployeeID(a, X), ValidID(X).").unwrap());
 }

@@ -7,7 +7,7 @@
 
 use wfdatalog::chase::paper::example4;
 use wfdatalog::query::{answers, holds, holds3, Nbcq, QTerm, QVar, QueryAtom};
-use wfdatalog::wfs::{solve, WellFoundedModel, WfsOptions};
+use wfdatalog::wfs::{solve, SolveRequest, WellFoundedModel, WfsOptions};
 use wfdatalog::{Truth, Universe};
 
 fn v(i: u32) -> QTerm {
@@ -17,7 +17,7 @@ fn v(i: u32) -> QTerm {
 fn setup() -> (Universe, WellFoundedModel) {
     let mut u = Universe::new();
     let (db, prog) = example4(&mut u);
-    let model = solve(&mut u, &db, &prog, WfsOptions::depth(6));
+    let model = solve(SolveRequest::new(&mut u, &db, &prog, WfsOptions::depth(6))).model;
     (u, model)
 }
 

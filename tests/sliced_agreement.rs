@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use wfdatalog::storage::Database;
-use wfdatalog::wfs::WellFoundedModel;
+use wfdatalog::wfs::{solve, SolveRequest, WellFoundedModel};
 use wfdatalog::{
     Error, FactBatch, KnowledgeBase, ProgramSlice, SkolemProgram, SolveBudget, Truth, Universe,
     WfsOptions,
@@ -60,22 +60,13 @@ fn assert_slices_agree(
     options: WfsOptions,
     goal_sets: &[Vec<wfdatalog::core::PredId>],
 ) {
-    let budget = SolveBudget::unlimited();
     let mut u_full = universe.clone();
-    let full = wfdatalog::wfs::solve_budgeted(&mut u_full, db, sigma, options, &budget);
+    let full = solve(SolveRequest::new(&mut u_full, db, sigma, options)).model;
     for goals in goal_sets {
         let slice = ProgramSlice::compute(universe.num_preds(), sigma, goals);
         let mut u_sliced = universe.clone();
-        let out = wfdatalog::wfs::solve_sliced_packaged_budgeted(
-            &mut u_sliced,
-            db,
-            sigma,
-            options,
-            &[],
-            &budget,
-            &slice.pred_mask,
-            None,
-        );
+        let out =
+            solve(SolveRequest::new(&mut u_sliced, db, sigma, options).slice(&slice.pred_mask));
         assert!(out.stats.sliced);
         assert_eq!(
             verdicts_over(&u_full, &full, &slice.pred_mask),
@@ -449,4 +440,61 @@ fn solve_for_leaves_the_full_solve_state_untouched() {
     let resumed = kb.solve();
     assert!(resumed.solve_stats().incremental);
     assert!(resumed.ask("?- covered(d).").unwrap());
+}
+
+/// Full, budget-truncated, resumed and sliced solves in one sequence: a
+/// resume-boundary trip, then a resumed recovery, then a sliced solve
+/// whose memo comes from the resumed model. The sliced verdicts must match
+/// a fresh full solve over base + delta.
+#[test]
+fn sliced_solve_after_tripped_and_resumed_solves_matches_fresh() {
+    use wfdatalog::core::budget::{FaultKind, FaultPlan, FaultSite};
+    const QUERY: &str = "?(X) covered(X).";
+    fn in_slice_verdicts(kb: &KnowledgeBase, model: &wfdatalog::SolvedModel) -> Vec<String> {
+        let goals = wfdatalog::syntax::prepare_query(kb.universe(), QUERY)
+            .unwrap()
+            .goal_preds();
+        let slice = ProgramSlice::compute(kb.universe().num_preds(), kb.sigma(), &goals);
+        verdicts_over(model.universe(), model.model(), &slice.pred_mask)
+    }
+    for threads in [1, 2, 8] {
+        let mut fresh = KnowledgeBase::from_source(FACADE_RULES)
+            .unwrap()
+            .with_threads(threads);
+        fresh.insert_tsv("edge\tc\td\n").unwrap();
+        let reference = fresh.solve();
+
+        let mut kb = KnowledgeBase::from_source(FACADE_RULES)
+            .unwrap()
+            .with_threads(threads);
+        assert!(kb.solve().outcome().is_complete());
+        kb.insert_tsv("edge\tc\td\n").unwrap();
+        kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+            site: FaultSite::ResumeBoundary,
+            kind: FaultKind::TripCancel,
+        }));
+        let truncated = kb.solve();
+        assert_eq!(
+            truncated.outcome().truncation(),
+            Some(wfdatalog::TruncationReason::Cancelled),
+            "threads {threads}: the trip must truncate the resumed solve"
+        );
+        kb.set_solve_budget(SolveBudget::unlimited());
+        let resumed = kb.solve();
+        assert!(resumed.outcome().is_complete(), "threads {threads}");
+        assert!(resumed.solve_stats().incremental, "threads {threads}");
+
+        let sliced = kb.solve_for(QUERY).unwrap();
+        let stats = sliced.solve_stats();
+        assert!(stats.sliced, "threads {threads}");
+        assert!(
+            stats.components_reused > 0,
+            "threads {threads}: the memo from the resumed model must be used: {stats:?}"
+        );
+        assert_eq!(
+            in_slice_verdicts(&kb, &sliced),
+            in_slice_verdicts(&fresh, &reference),
+            "threads {threads}"
+        );
+    }
 }

@@ -5,7 +5,7 @@
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use wfdatalog::wfs::{solve, wcheck, WfsOptions};
+use wfdatalog::wfs::{solve, wcheck, SolveRequest, WfsOptions};
 use wfdatalog::Universe;
 use wfdl_gen::{random_database, random_program, RandomConfig, RandomDbConfig};
 
@@ -31,7 +31,8 @@ fn decide_agrees_with_global_solve_on_random_workloads() {
                 ..Default::default()
             },
         );
-        let model = solve(&mut u, &db, &w.sigma, WfsOptions::depth(4));
+        let req = SolveRequest::new(&mut u, &db, &w.sigma, WfsOptions::depth(4));
+        let model = solve(req).model;
         for sa in model.segment.atoms() {
             assert_eq!(
                 wcheck::decide(&model.ground, sa.atom),
@@ -65,7 +66,8 @@ fn every_true_atom_has_a_verifying_certificate() {
                 ..Default::default()
             },
         );
-        let model = solve(&mut u, &db, &w.sigma, WfsOptions::depth(4));
+        let req = SolveRequest::new(&mut u, &db, &w.sigma, WfsOptions::depth(4));
+        let model = solve(req).model;
         for atom in model.true_atoms().collect::<Vec<_>>() {
             let cert =
                 wcheck::certify(&model.segment, &model.result.interp, atom).unwrap_or_else(|| {
@@ -106,7 +108,8 @@ fn every_false_atom_has_a_refutation() {
                 ..Default::default()
             },
         );
-        let model = solve(&mut u, &db, &w.sigma, WfsOptions::depth(4));
+        let req = SolveRequest::new(&mut u, &db, &w.sigma, WfsOptions::depth(4));
+        let model = solve(req).model;
         for sa in model.segment.atoms() {
             if !model.is_false(sa.atom) {
                 continue;
@@ -131,7 +134,7 @@ fn every_false_atom_has_a_refutation() {
 fn certificates_do_not_exist_for_non_true_atoms() {
     let mut u = Universe::new();
     let (db, sigma) = wfdatalog::chase::paper::example4(&mut u);
-    let model = solve(&mut u, &db, &sigma, WfsOptions::depth(5));
+    let model = solve(SolveRequest::new(&mut u, &db, &sigma, WfsOptions::depth(5))).model;
     let s = u.lookup_pred("S").unwrap();
     let zero = u.lookup_constant("0").unwrap();
     let s0 = u.atoms.lookup(s, &[zero]).unwrap();
@@ -144,7 +147,8 @@ fn cone_extraction_is_closed() {
     let mut u = Universe::new();
     let w = random_program(&mut u, &RandomConfig::default());
     let db = random_database(&mut u, &w, &RandomDbConfig::default());
-    let model = solve(&mut u, &db, &w.sigma, WfsOptions::depth(4));
+    let req = SolveRequest::new(&mut u, &db, &w.sigma, WfsOptions::depth(4));
+    let model = solve(req).model;
     for sa in model.segment.atoms().iter().take(10) {
         let cone = wcheck::dependency_cone(&model.ground, &[sa.atom]);
         // Dependency closure: every body atom of a cone rule has all *its*
