@@ -16,11 +16,6 @@ pub struct ChaseBudget {
     pub max_atoms: usize,
     /// Hard cap on the number of distinct rule instances in the segment.
     pub max_instances: usize,
-    /// Worker threads for the saturation match phase: `1` = serial,
-    /// `0` = auto (`available_parallelism`, with small frontiers staying
-    /// serial). The produced segment is bit-identical for every value —
-    /// see the "Sharded saturation" section of `crates/chase/src/README.md`.
-    pub threads: usize,
 }
 
 impl ChaseBudget {
@@ -30,7 +25,6 @@ impl ChaseBudget {
             max_depth,
             max_atoms: usize::MAX,
             max_instances: usize::MAX,
-            threads: 1,
         }
     }
 
@@ -41,7 +35,6 @@ impl ChaseBudget {
             max_depth: u32::MAX,
             max_atoms: usize::MAX,
             max_instances: usize::MAX,
-            threads: 1,
         }
     }
 
@@ -57,10 +50,9 @@ impl ChaseBudget {
         self
     }
 
-    /// Returns a copy with a different match-phase thread count
-    /// (`0` = auto). Saturation output is bit-identical for every value.
-    pub fn with_threads(mut self, n: usize) -> Self {
-        self.threads = n;
+    /// Returns `self` unchanged: kept only for `perfbench/`; solves are
+    /// serial.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 }
@@ -73,7 +65,6 @@ impl Default for ChaseBudget {
             max_depth: 16,
             max_atoms: 1_000_000,
             max_instances: 4_000_000,
-            threads: 1,
         }
     }
 }
@@ -91,11 +82,8 @@ mod tests {
         assert_eq!(u.max_depth, u32::MAX);
         let c = ChaseBudget::default()
             .with_max_atoms(10)
-            .with_max_instances(20)
-            .with_threads(4);
+            .with_max_instances(20);
         assert_eq!(c.max_atoms, 10);
         assert_eq!(c.max_instances, 20);
-        assert_eq!(c.threads, 4);
-        assert_eq!(b.threads, 1, "constructors default to serial");
     }
 }

@@ -10,9 +10,9 @@
 //! thousands of singleton (plus some two-atom recursive) components spread
 //! over just a handful of topological wavefronts.
 //!
-//! This is the adversarial shape for a parallel component scheduler: the
-//! per-component work is tiny, so any queue or hand-off overhead shows up
-//! directly. `benches/parallel_scaling.rs` uses it for exactly that.
+//! The per-component work is tiny, so any per-component overhead in the
+//! engine's sweep shows up directly; `benches/sliced_query.rs` and the
+//! engine-agreement tests use it.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -8,7 +8,7 @@
 //!   with a stratified variant;
 //! * [`employment`] — the Example 2 DL-Lite ontology at scale;
 //! * [`fanout`] — thousands of shallow independent components (the
-//!   parallel-scheduler stress shape).
+//!   per-component-overhead stress shape).
 //!
 //! All generators are deterministic per seed.
 

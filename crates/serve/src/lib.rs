@@ -25,7 +25,7 @@ mod signal;
 mod slot;
 
 pub use http::{push_json_str, HttpError, Limits, Method, Request, Response};
-pub use server::{App, Server, ServerConfig, ServerHandle, Stopper};
+pub use server::{resolve_workers, App, Server, ServerConfig, ServerHandle, Stopper, MAX_WORKERS};
 pub use signal::{
     install_shutdown_signals, request_shutdown, shutdown_requested, wait_for_shutdown,
 };

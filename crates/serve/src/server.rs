@@ -28,6 +28,17 @@ pub trait App: Send + Sync + 'static {
     fn on_shutdown(&self) {}
 }
 
+/// Ceiling on worker threads, whatever the configuration asks for: each
+/// worker is an OS thread, and an unclamped `--workers 1000000` would ask
+/// the OS for a million of them.
+pub const MAX_WORKERS: usize = 256;
+
+/// The number of worker threads [`Server::start`] spawns for a requested
+/// count: at least one, at most [`MAX_WORKERS`].
+pub fn resolve_workers(requested: usize) -> usize {
+    requested.clamp(1, MAX_WORKERS)
+}
+
 /// Server configuration. `Default` is tuned for tests and local serving;
 /// the CLI overrides `addr` and `workers`.
 #[derive(Clone, Debug)]
@@ -35,7 +46,7 @@ pub struct ServerConfig {
     /// Bind address, e.g. `127.0.0.1:7171` (`:0` picks an ephemeral port,
     /// reported by [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads serving requests (min 1).
+    /// Worker threads serving requests, clamped by [`resolve_workers`].
     pub workers: usize,
     /// Bound of the accepted-but-unserved connection queue. When it is
     /// full the accept loop stops pulling from the listener backlog,
@@ -90,7 +101,7 @@ pub type ServerHandle = Server;
 
 impl Server {
     /// Binds and starts serving: one accept thread plus
-    /// `config.workers` worker threads.
+    /// `resolve_workers(config.workers)` worker threads.
     pub fn start(config: ServerConfig, app: Arc<dyn App>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(
             config
@@ -105,7 +116,7 @@ impl Server {
         listener.set_nonblocking(true)?;
 
         let stop = Arc::new(AtomicBool::new(false));
-        let workers = config.workers.max(1);
+        let workers = resolve_workers(config.workers);
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.accept_backlog.max(1));
         let rx = Arc::new(Mutex::new(rx));
 
@@ -417,6 +428,17 @@ mod tests {
                 "FIFO, no loss, no duplication (schedule {mask:08b})"
             );
         }
+    }
+
+    #[test]
+    fn worker_count_is_clamped_to_one_through_the_ceiling() {
+        assert_eq!(resolve_workers(0), 1);
+        assert_eq!(resolve_workers(1), 1);
+        assert_eq!(resolve_workers(4), 4);
+        assert_eq!(resolve_workers(MAX_WORKERS), MAX_WORKERS);
+        assert_eq!(resolve_workers(MAX_WORKERS + 1), MAX_WORKERS);
+        assert_eq!(resolve_workers(1_000_000), MAX_WORKERS);
+        assert_eq!(resolve_workers(usize::MAX), MAX_WORKERS);
     }
 
     #[test]

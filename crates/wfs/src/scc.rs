@@ -1,4 +1,4 @@
-//! SCC-modular well-founded evaluation, serial and parallel.
+//! SCC-modular well-founded evaluation.
 //!
 //! The global fixpoint engines ([`crate::wp`], [`crate::alternating`])
 //! re-solve the entire ground program every stage, even when negation is
@@ -24,25 +24,6 @@
 //! whole model is computed in a single linear sweep — the measured speedups
 //! in `benches/modular_vs_global.rs` come from exactly this.
 //!
-//! ## Parallel evaluation
-//!
-//! Components on the same topological wavefront of the condensation are
-//! independent, so [`ModularEngine::with_threads`] evaluates them
-//! concurrently: the component DAG is packed into a chunk plan — one
-//! scheduler task per **chunk** of same-wavefront components, sized by
-//! cumulative rule count — and a dependency-counting work queue over the
-//! chunk DAG is executed by `std::thread::scope` workers against the
-//! shared read-only [`GroundProgram`]. A worker evaluates a chunk's
-//! components in ascending emission-ordinal order and publishes each
-//! component's verdicts into per-atom slots before decrementing dependent
-//! chunks' counters (release/acquire), so every component still observes
-//! exactly the lower verdicts the serial engine would have substituted.
-//! Because a
-//! component's verdicts and its decision stage depend only on the
-//! condensation (stage = emission ordinal + 1), the merged model is
-//! **bit-identical to the serial engine regardless of thread count or
-//! completion order** — pinned by `tests/parallel_agreement.rs`.
-//!
 //! The per-atom decision *stage* reported by this engine is the 1-based
 //! ordinal of the component that decided it, which preserves the invariant
 //! that stages are monotone along derivations but is **not** comparable to
@@ -51,23 +32,10 @@
 
 use crate::result::EngineResult;
 use crate::wp::{StepMode, WpEngine};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
 use wfdl_core::budget::FaultSite;
 use wfdl_core::fxhash::mix64 as mix;
 use wfdl_core::{BitSet, Interp, SolveBudget, TruncationReason, Truth};
 use wfdl_storage::{GroundProgram, GroundRule};
-
-/// Below this much total work (`num_atoms + num_rules`), the automatic
-/// thread count ([`ModularEngine::with_threads`] with `0`) stays serial: a
-/// small program solves in well under a millisecond, less than the cost of
-/// spawning workers.
-const AUTO_PARALLEL_MIN_WORK: usize = 16_384;
-
-/// Hard ceiling on the worker count, whatever the caller requested: wide
-/// condensations can have tens of thousands of components, and an
-/// unclamped `--threads` would try to spawn that many OS threads.
-const MAX_THREADS: usize = 256;
 
 /// Per-run statistics of the modular evaluation, exposed through
 /// [`EngineResult::stats`] and the `wfdl` CLI's `--stats` flag.
@@ -88,29 +56,14 @@ pub struct ModularStats {
     /// Components whose verdicts were copied from a previous solve
     /// (incremental runs only; see [`ModularMemo`]).
     pub components_reused: usize,
-    /// Worker threads the solve ran with (`1` = the serial path).
+    /// Always `1`: kept only for `perfbench/`; solves are serial.
     pub threads: usize,
-    /// Topological wavefronts (levels) of the component DAG — the
-    /// critical-path length in components. Computed on parallel runs only
-    /// (`0` on the serial path, which never builds the component DAG).
+    /// Always `0`: kept only for `perfbench/`; solves are serial.
     pub wavefronts: usize,
-    /// Components on the widest wavefront — the peak parallelism the
-    /// condensation offers. `0` on the serial path.
-    pub max_wavefront: usize,
-    /// Scheduler tasks of the parallel run: same-wavefront components are
-    /// packed into chunks by cumulative rule count (see `plan_chunks`), and
-    /// the work queue hands out whole chunks. `0` on the serial path,
-    /// which schedules nothing.
+    /// Always `0`: kept only for `perfbench/`; solves are serial.
     pub chunks: usize,
-    /// Chunks that went through the shared work queue (parallel runs):
-    /// wavefront roots plus chunks whose completion unblocked more than
-    /// one dependent chunk.
+    /// Always `0`: kept only for `perfbench/`; solves are serial.
     pub queued_chunks: usize,
-    /// Chunks executed directly by the worker that made them ready,
-    /// without a queue round-trip (parallel runs). Chains of
-    /// single-dependent chunks — including ones full of memo-reused
-    /// components — run back-to-back this way.
-    pub inline_chunks: usize,
 }
 
 /// The condensation and per-component **input fingerprints** of one
@@ -133,57 +86,7 @@ pub struct ModularMemo {
     pub fingerprints: Vec<u64>,
 }
 
-/// Shared per-atom verdict slots. Each component's verdicts are written by
-/// exactly one worker (components partition the atoms) and read by the
-/// workers of higher components only after the writer released the
-/// dependency edge, so relaxed element accesses are race-free; the
-/// ordering lives in the scheduler's counters. On the serial path the
-/// relaxed atomic ops compile to plain loads and stores.
-///
-/// `Truth::Unknown` doubles as "not yet decided", exactly like the former
-/// `Vec<Truth>` state (sound because components are decided strictly
-/// bottom-up).
-struct TruthSlots(Vec<AtomicU8>);
-
-impl TruthSlots {
-    fn new(n: usize) -> Self {
-        TruthSlots(
-            (0..n)
-                .map(|_| AtomicU8::new(encode(Truth::Unknown)))
-                .collect(),
-        )
-    }
-
-    #[inline]
-    fn get(&self, local: usize) -> Truth {
-        decode(self.0[local].load(Ordering::Relaxed))
-    }
-
-    #[inline]
-    fn set(&self, local: usize, t: Truth) {
-        self.0[local].store(encode(t), Ordering::Relaxed);
-    }
-}
-
-#[inline]
-fn encode(t: Truth) -> u8 {
-    match t {
-        Truth::False => 0,
-        Truth::Unknown => 1,
-        Truth::True => 2,
-    }
-}
-
-#[inline]
-fn decode(v: u8) -> Truth {
-    match v {
-        0 => Truth::False,
-        1 => Truth::Unknown,
-        _ => Truth::True,
-    }
-}
-
-/// Per-worker scratch buffers, reused across components (most components
+/// Scratch buffers, reused across components (most components
 /// are singletons, so per-component allocation would dominate).
 struct Scratch {
     /// rule id → slot in `missing` while a component is evaluated;
@@ -217,21 +120,21 @@ struct PrevSolve<'a> {
     local: Vec<u32>,
 }
 
-/// Everything a worker needs to evaluate components, all borrowed and
-/// `Sync`: the program and condensation are read-only, verdicts go through
-/// [`TruthSlots`], and each component owns its own fingerprint slot.
+/// The state of one sweep: the read-only program and condensation, plus
+/// the per-atom verdicts and per-component fingerprints filled in as the
+/// sweep goes. `Truth::Unknown` doubles as "not yet decided" (sound
+/// because components are decided strictly bottom-up).
 struct EvalCtx<'a> {
     prog: &'a GroundProgram,
     cond: &'a Condensation,
     is_fact: &'a BitSet,
-    truth: &'a TruthSlots,
-    fingerprints: &'a [AtomicU64],
+    truth: Vec<Truth>,
+    /// Input fingerprint per component, indexed by emission ordinal.
+    fingerprints: Vec<u64>,
     prev: Option<PrevSolve<'a>>,
     /// Resource budget of the run. Component-ordinal fault-injection sites
-    /// ([`FaultSite::WfsComponent`]) fire here, so scheduler tests can prove
-    /// a panic inside a chunk propagates out of `solve` instead of
-    /// deadlocking the other workers, and budget trips stop the sweep at a
-    /// component boundary.
+    /// ([`FaultSite::WfsComponent`]) fire here, and budget trips stop the
+    /// sweep at a component boundary.
     budget: &'a SolveBudget,
     /// Fixed estimate of the run's working-set bytes (truth slots,
     /// fingerprints, condensation arrays), charged against
@@ -239,79 +142,42 @@ struct EvalCtx<'a> {
     mem_estimate: usize,
 }
 
-/// What one component's evaluation contributed, merged into
-/// [`ModularStats`] by the caller.
-struct CompOutcome {
-    definite: bool,
-    reused: bool,
-}
-
 /// The SCC-modular WFS engine.
 pub struct ModularEngine<'a> {
     prog: &'a GroundProgram,
-    /// Requested worker count: `1` = serial (the default for direct engine
-    /// users), `0` = auto, `n` = exactly `n` workers (capped at the
-    /// component count).
-    threads: usize,
     /// Deadline / cancellation / memory budget, checked at component
-    /// boundaries (serial path) and chunk boundaries (parallel path).
+    /// boundaries.
     budget: SolveBudget,
 }
 
 impl<'a> ModularEngine<'a> {
-    /// Prepares the engine for a ground program (serial evaluation).
+    /// Prepares the engine for a ground program.
     pub fn new(prog: &'a GroundProgram) -> Self {
         ModularEngine {
             prog,
-            threads: 1,
             budget: SolveBudget::unlimited(),
         }
     }
 
     /// Attaches a resource budget. On a trip the sweep stops at a component
-    /// (serial) or chunk (parallel) boundary: verdicts already published
-    /// stay, every unevaluated atom reads [`Truth::Unknown`], and
-    /// [`EngineResult::truncation`] records the reason. A truncated result
-    /// carries no memo — its partial verdicts must never seed an
-    /// incremental reuse.
+    /// boundary: verdicts already published stay, every unevaluated atom
+    /// reads [`Truth::Unknown`], and [`EngineResult::truncation`] records
+    /// the reason. A truncated result carries no memo — its partial
+    /// verdicts must never seed an incremental reuse.
     pub fn with_budget(mut self, budget: SolveBudget) -> Self {
         self.budget = budget;
         self
     }
 
-    /// Selects the worker count for [`ModularEngine::solve`]: `1` forces
-    /// the serial path, `0` picks automatically
-    /// (`std::thread::available_parallelism` for large programs, serial
-    /// for small ones where spawn cost would dominate), any other `n`
-    /// spawns `n` workers (capped at the component count and a hard
-    /// ceiling of 256 — thread counts are a performance knob, not a
-    /// resource grant). The computed model is bit-identical for every
-    /// setting.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    /// Returns `self` unchanged: kept only for `perfbench/`; solves are
+    /// serial.
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
     /// Computes the well-founded model component by component.
     pub fn solve(&self) -> EngineResult {
         self.solve_incremental(None)
-    }
-
-    fn resolve_threads(&self, num_components: usize) -> usize {
-        if num_components == 0 {
-            return 1;
-        }
-        let requested = match self.threads {
-            0 => {
-                if self.prog.num_atoms() + self.prog.num_rules() < AUTO_PARALLEL_MIN_WORK {
-                    1
-                } else {
-                    std::thread::available_parallelism().map_or(1, |n| n.get())
-                }
-            }
-            n => n,
-        };
-        requested.clamp(1, num_components).min(MAX_THREADS)
     }
 
     /// Computes the well-founded model, reusing verdicts from a previous
@@ -328,11 +194,6 @@ impl<'a> ModularEngine<'a> {
     /// rules or facts, components whose lower inputs changed) is evaluated
     /// normally. The number of reused components is reported in
     /// [`ModularStats::components_reused`].
-    ///
-    /// Verdict reuse composes with parallel evaluation: dirty components
-    /// fan out across the workers while reused ones are a copy in the
-    /// worker that reaches them (typically inline, without a queue
-    /// round-trip).
     pub fn solve_incremental(&self, prev: Option<(&GroundProgram, &EngineResult)>) -> EngineResult {
         let prog = self.prog;
         let n = prog.num_atoms();
@@ -354,12 +215,10 @@ impl<'a> ModularEngine<'a> {
             })
         });
 
-        let truth = TruthSlots::new(n);
         let mut is_fact = BitSet::with_capacity(n);
         for &f in prog.facts_local() {
             is_fact.insert(f as usize);
         }
-        let fingerprints: Vec<AtomicU64> = (0..num_components).map(|_| AtomicU64::new(0)).collect();
 
         // Working-set estimate for the memory budget: one verdict byte per
         // atom, one fingerprint word per component, and the condensation's
@@ -369,57 +228,54 @@ impl<'a> ModularEngine<'a> {
             + (cond.comp_of.len() + cond.comp_atoms.len() + cond.comp_off.len())
                 * std::mem::size_of::<u32>();
 
-        let ctx = EvalCtx {
+        let mut ctx = EvalCtx {
             prog,
             cond: &cond,
             is_fact: &is_fact,
-            truth: &truth,
-            fingerprints: &fingerprints,
+            truth: vec![Truth::Unknown; n],
+            fingerprints: vec![0; num_components],
             prev,
             budget: &self.budget,
             mem_estimate,
         };
-
-        let threads = self.resolve_threads(num_components);
         let mut stats = ModularStats {
             components: num_components,
             largest_component: cond.iter().map(<[u32]>::len).max().unwrap_or(0),
-            threads,
+            threads: 1,
             ..Default::default()
         };
 
+        // Emission order visits dependencies first, so a plain sweep needs
+        // no scheduling state at all. An unbudgeted run pays one branch per
+        // component; a budgeted one polls the clock every
+        // `BUDGET_POLL_STRIDE` components.
         let mut truncation: Option<TruncationReason> = None;
-        if threads == 1 {
-            // Serial path: emission order visits dependencies first, so a
-            // plain sweep needs no scheduling state at all. An unbudgeted
-            // run pays one branch per component; a budgeted one polls the
-            // clock every `BUDGET_POLL_STRIDE` components.
-            let mut scratch = Scratch::new(prog.num_rules());
-            let budgeted = !self.budget.is_unlimited();
-            for ord in 0..num_components as u32 {
-                if budgeted {
-                    if let Some(r) = trip_at_component(&ctx, ord) {
-                        truncation = Some(r);
-                        break;
-                    }
+        let mut scratch = Scratch::new(prog.num_rules());
+        let budgeted = !self.budget.is_unlimited();
+        for ord in 0..num_components as u32 {
+            if budgeted {
+                if let Some(r) = trip_at_component(&ctx, ord) {
+                    truncation = Some(r);
+                    break;
                 }
-                let out = process_component(&ctx, ord, &mut scratch);
-                merge_outcome(&mut stats, &out, cond.component(ord as usize).len());
             }
-        } else {
-            truncation = solve_parallel(&ctx, threads, &mut stats);
+            process_component(&mut ctx, ord, &mut scratch, &mut stats);
         }
+        let EvalCtx {
+            truth,
+            fingerprints,
+            ..
+        } = ctx;
 
         // Assemble the EngineResult over original atom ids. The decision
         // stage of a decided atom is its component's 1-based emission
-        // ordinal — a function of the condensation alone, which is what
-        // makes the parallel result bit-identical to the serial one.
+        // ordinal — a function of the condensation alone.
         let mut interp = Interp::with_capacity(n);
         let cap = prog.atoms().last().map_or(0, |a| a.index() + 1);
         let mut decided_stage = crate::result::StageMap::with_capacity(cap);
-        for a in 0..n {
+        for (a, &t) in truth.iter().enumerate() {
             let atom = prog.atom_of_local(a as u32);
-            match truth.get(a) {
+            match t {
                 Truth::True => {
                     interp.set_true(atom);
                     decided_stage.insert(atom, cond.comp_of[a] + 1);
@@ -439,10 +295,7 @@ impl<'a> ModularEngine<'a> {
         } else {
             Some(ModularMemo {
                 condensation: cond,
-                fingerprints: fingerprints
-                    .into_iter()
-                    .map(AtomicU64::into_inner)
-                    .collect(),
+                fingerprints,
             })
         };
         EngineResult {
@@ -456,13 +309,13 @@ impl<'a> ModularEngine<'a> {
     }
 }
 
-/// How often the serial sweep polls the wall clock and memory budget, in
+/// How often the sweep polls the wall clock and memory budget, in
 /// components. Fault sites still fire on every ordinal — injection points
 /// must be exact — but `Instant::now` per singleton component would cost
 /// more than evaluating the component.
 const BUDGET_POLL_STRIDE: u32 = 64;
 
-/// Serial-path budget check at the boundary before component `ord`:
+/// Budget check at the boundary before component `ord`:
 /// fault-injection sites fire first (every ordinal), then the real budget
 /// is polled every [`BUDGET_POLL_STRIDE`] components.
 fn trip_at_component(ctx: &EvalCtx<'_>, ord: u32) -> Option<TruncationReason> {
@@ -475,28 +328,20 @@ fn trip_at_component(ctx: &EvalCtx<'_>, ord: u32) -> Option<TruncationReason> {
     None
 }
 
-fn merge_outcome(stats: &mut ModularStats, out: &CompOutcome, comp_len: usize) {
-    if out.reused {
-        stats.components_reused += 1;
-    }
-    if out.definite {
-        stats.definite_components += 1;
-    } else {
-        stats.recursive_components += 1;
-        stats.atoms_in_recursive += comp_len;
-    }
-}
-
 /// Evaluates one component whose dependencies are all decided: classify,
 /// fingerprint, try memo reuse, then run the definite or recursive
-/// evaluator. Publishes verdicts into `ctx.truth` and the fingerprint into
-/// the component's slot. Free of `&mut` engine state — safe to call from
-/// any worker as long as the scheduler ordered it after its dependencies.
-fn process_component(ctx: &EvalCtx<'_>, ord: u32, scratch: &mut Scratch) -> CompOutcome {
-    let prog = ctx.prog;
+/// evaluator. Publishes verdicts into `ctx.truth`, the fingerprint into
+/// the component's slot, and the component's classification into `stats`.
+fn process_component(
+    ctx: &mut EvalCtx<'_>,
+    ord: u32,
+    scratch: &mut Scratch,
+    stats: &mut ModularStats,
+) {
+    let (prog, is_fact) = (ctx.prog, ctx.is_fact);
     let comp_of = &ctx.cond.comp_of;
     let comp = ctx.cond.component(ord as usize);
-    let truth = ctx.truth;
+    let truth = &mut ctx.truth;
 
     // Collect the component's rules and classify the component. Tarjan
     // assigned component ordinals in emission order, so `comp_of[b] == ord`
@@ -510,16 +355,22 @@ fn process_component(ctx: &EvalCtx<'_>, ord: u32, scratch: &mut Scratch) -> Comp
             for &b in prog.neg_local(r) {
                 if comp_of[b as usize] == ord {
                     definite = false; // internal negation
-                } else if truth.get(b as usize) == Truth::Unknown {
+                } else if truth[b as usize] == Truth::Unknown {
                     definite = false; // undefined lower input
                 }
             }
             for &b in prog.pos_local(r) {
-                if comp_of[b as usize] != ord && truth.get(b as usize) == Truth::Unknown {
+                if comp_of[b as usize] != ord && truth[b as usize] == Truth::Unknown {
                     definite = false; // undefined lower input
                 }
             }
         }
+    }
+    if definite {
+        stats.definite_components += 1;
+    } else {
+        stats.recursive_components += 1;
+        stats.atoms_in_recursive += comp.len();
     }
 
     // Fingerprint this component's inputs; try to reuse the previous
@@ -530,27 +381,21 @@ fn process_component(ctx: &EvalCtx<'_>, ord: u32, scratch: &mut Scratch) -> Comp
         ord,
         comp_of,
         truth,
-        ctx.is_fact,
+        is_fact,
         &mut scratch.sorted_comp,
     );
-    ctx.fingerprints[ord as usize].store(fp, Ordering::Relaxed);
+    ctx.fingerprints[ord as usize] = fp;
     if let Some(prev) = &ctx.prev {
         if try_reuse(prog, comp, fp, prev, truth) {
-            return CompOutcome {
-                definite,
-                reused: true,
-            };
+            stats.components_reused += 1;
+            return;
         }
     }
 
     if definite {
-        eval_definite(prog, comp, ord, comp_of, ctx.is_fact, truth, scratch);
+        eval_definite(prog, comp, ord, comp_of, is_fact, truth, scratch);
     } else {
-        eval_recursive(prog, comp, ord, comp_of, ctx.is_fact, truth, &scratch.rules);
-    }
-    CompOutcome {
-        definite,
-        reused: false,
+        eval_recursive(prog, comp, ord, comp_of, is_fact, truth, &scratch.rules);
     }
 }
 
@@ -562,7 +407,7 @@ fn eval_definite(
     ordinal: u32,
     comp_of: &[u32],
     is_fact: &BitSet,
-    truth: &TruthSlots,
+    truth: &mut [Truth],
     scratch: &mut Scratch,
 ) {
     // missing[i] = internal positive atoms of rules[i] not yet true;
@@ -577,12 +422,12 @@ fn eval_definite(
     missing.clear();
     queue.clear();
 
-    let derive = |a: u32, queue: &mut Vec<u32>| {
-        if truth.get(a as usize) != Truth::True {
-            truth.set(a as usize, Truth::True);
+    fn derive(truth: &mut [Truth], a: u32, queue: &mut Vec<u32>) {
+        if truth[a as usize] != Truth::True {
+            truth[a as usize] = Truth::True;
             queue.push(a);
         }
-    };
+    }
 
     // Phase 1: count every rule's missing internal atoms BEFORE any
     // derivation. Internal atoms are all undecided at this point, so
@@ -597,7 +442,7 @@ fn eval_definite(
         for &b in prog.pos_local(r) {
             if comp_of[b as usize] == ordinal {
                 m += 1; // internal: wait for derivation
-            } else if truth.get(b as usize) != Truth::True {
+            } else if truth[b as usize] != Truth::True {
                 dead = true; // external and not true ⇒ false here
             }
         }
@@ -606,7 +451,7 @@ fn eval_definite(
         if prog
             .neg_local(r)
             .iter()
-            .any(|&b| truth.get(b as usize) == Truth::True)
+            .any(|&b| truth[b as usize] == Truth::True)
         {
             dead = true;
         }
@@ -616,12 +461,12 @@ fn eval_definite(
     // then propagate.
     for (i, &r) in rules.iter().enumerate() {
         if missing[i] == 0 {
-            derive(prog.head_local(r as usize), queue);
+            derive(truth, prog.head_local(r as usize), queue);
         }
     }
     for &a in comp {
         if is_fact.contains(a as usize) {
-            derive(a, queue);
+            derive(truth, a, queue);
         }
     }
     while let Some(a) = queue.pop() {
@@ -637,13 +482,13 @@ fn eval_definite(
             // An atom may occur only once per body (GroundRule dedups).
             *m -= 1;
             if *m == 0 {
-                derive(prog.head_local(rid.index()), queue);
+                derive(truth, prog.head_local(rid.index()), queue);
             }
         }
     }
     for &a in comp {
-        if truth.get(a as usize) != Truth::True {
-            truth.set(a as usize, Truth::False);
+        if truth[a as usize] != Truth::True {
+            truth[a as usize] = Truth::False;
         }
     }
     for &r in rules.iter() {
@@ -659,7 +504,7 @@ fn eval_recursive(
     ordinal: u32,
     comp_of: &[u32],
     is_fact: &BitSet,
-    truth: &TruthSlots,
+    truth: &mut [Truth],
     rules: &[u32],
 ) {
     // Subprogram atoms: the component plus every undefined external
@@ -669,7 +514,7 @@ fn eval_recursive(
     for &r in rules {
         let r = r as usize;
         for &b in prog.pos_local(r).iter().chain(prog.neg_local(r)) {
-            if comp_of[b as usize] != ordinal && truth.get(b as usize) == Truth::Unknown {
+            if comp_of[b as usize] != ordinal && truth[b as usize] == Truth::Unknown {
                 sub_atoms.push(b);
             }
         }
@@ -690,7 +535,7 @@ fn eval_recursive(
             if comp_of[b as usize] == ordinal {
                 pos.push(atom_id(b));
             } else {
-                match truth.get(b as usize) {
+                match truth[b as usize] {
                     Truth::True => {}                       // satisfied: drop
                     Truth::False => continue 'rules,        // dead rule
                     Truth::Unknown => pos.push(atom_id(b)), // assumed input
@@ -702,7 +547,7 @@ fn eval_recursive(
             if comp_of[b as usize] == ordinal {
                 neg.push(atom_id(b));
             } else {
-                match truth.get(b as usize) {
+                match truth[b as usize] {
                     Truth::False => {}                      // satisfied: drop
                     Truth::True => continue 'rules,         // dead rule
                     Truth::Unknown => neg.push(atom_id(b)), // assumed input
@@ -731,7 +576,7 @@ fn eval_recursive(
         .solve(StepMode::Accelerated);
 
     for &a in comp {
-        truth.set(a as usize, result.value(prog.atom_of_local(a)));
+        truth[a as usize] = result.value(prog.atom_of_local(a));
     }
 }
 
@@ -745,7 +590,7 @@ fn fingerprint_component(
     comp: &[u32],
     ord: u32,
     comp_of: &[u32],
-    truth: &TruthSlots,
+    truth: &[Truth],
     is_fact: &BitSet,
     sorted_comp: &mut Vec<u32>,
 ) -> u64 {
@@ -763,7 +608,7 @@ fn fingerprint_component(
             let tag = if comp_of[b as usize] == ord {
                 3 // internal: undecided by construction
             } else {
-                match truth.get(b as usize) {
+                match truth[b as usize] {
                     Truth::False => 0,
                     Truth::Unknown => 1,
                     Truth::True => 2,
@@ -796,7 +641,7 @@ fn try_reuse(
     comp: &[u32],
     fp: u64,
     prev: &PrevSolve<'_>,
-    truth: &TruthSlots,
+    truth: &mut [Truth],
 ) -> bool {
     const ABSENT: u32 = u32::MAX;
     let memo = prev.memo;
@@ -821,551 +666,9 @@ fn try_reuse(
         }
     }
     for &a in comp {
-        truth.set(a as usize, prev.result.value(prog.atom_of_local(a)));
+        truth[a as usize] = prev.result.value(prog.atom_of_local(a));
     }
     true
-}
-
-// ======================================================================
-// Parallel scheduler
-// ======================================================================
-
-/// The condensation's component-level DAG: deduplicated dependency edges
-/// in CSR form (`successors(d)` = components that depend on `d`) and the
-/// topological wavefront profile. Scheduling itself happens one level up,
-/// on the [`ChunkPlan`] derived from this graph.
-struct CompGraph {
-    succ_off: Vec<u32>,
-    succ: Vec<u32>,
-    /// Wavefront level per component (longest dependency path below it).
-    level: Vec<u32>,
-    /// Number of wavefronts (levels); the critical path in components.
-    levels: usize,
-    /// Components on the widest wavefront.
-    max_width: usize,
-}
-
-impl CompGraph {
-    fn successors(&self, ord: u32) -> &[u32] {
-        let o = ord as usize;
-        &self.succ[self.succ_off[o] as usize..self.succ_off[o + 1] as usize]
-    }
-}
-
-/// Calls `f(d)` once per **distinct** lower component `d` that component
-/// `c` depends on. `stamp[d] == c` marks `d` as already reported for this
-/// `c`; since callers visit ordinals in strictly increasing order, one
-/// stamp array serves a whole sweep without resets.
-fn for_each_dep(
-    prog: &GroundProgram,
-    cond: &Condensation,
-    c: u32,
-    stamp: &mut [u32],
-    mut f: impl FnMut(u32),
-) {
-    for &a in cond.component(c as usize) {
-        for &rid in prog.rules_with_head_local(a) {
-            let r = rid.index();
-            for &b in prog.pos_local(r).iter().chain(prog.neg_local(r)) {
-                let d = cond.comp_of[b as usize];
-                if d != c && stamp[d as usize] != c {
-                    stamp[d as usize] = c;
-                    f(d);
-                }
-            }
-        }
-    }
-}
-
-/// Builds the [`CompGraph`] by scanning every rule body once per pass.
-/// Emission ordinals are topological (dependencies get smaller ordinals),
-/// so stamping with the dependent's ordinal dedups edges without a sort
-/// and wavefront levels resolve in one ascending sweep.
-fn comp_graph(prog: &GroundProgram, cond: &Condensation) -> CompGraph {
-    let ncomp = cond.num_components();
-    let mut succ_count = vec![0u32; ncomp];
-    let mut level = vec![0u32; ncomp];
-    const UNSEEN: u32 = u32::MAX;
-    let mut stamp = vec![UNSEEN; ncomp];
-
-    // One body scan collects the deduped edge list; the successor CSR is
-    // then a counting-sort of that (much smaller) list by dependency.
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for c in 0..ncomp as u32 {
-        let mut lvl = 0u32;
-        for_each_dep(prog, cond, c, &mut stamp, |d| {
-            succ_count[d as usize] += 1;
-            lvl = lvl.max(level[d as usize] + 1);
-            edges.push((d, c));
-        });
-        level[c as usize] = lvl;
-    }
-
-    let mut succ_off = Vec::with_capacity(ncomp + 1);
-    let mut acc = 0u32;
-    succ_off.push(0);
-    for &c in &succ_count {
-        acc += c;
-        succ_off.push(acc);
-    }
-    let mut succ = vec![0u32; acc as usize];
-    let mut fill: Vec<u32> = succ_off[..ncomp].to_vec();
-    for (d, c) in edges {
-        succ[fill[d as usize] as usize] = c;
-        fill[d as usize] += 1;
-    }
-
-    let levels = level.iter().map(|&l| l as usize + 1).max().unwrap_or(0);
-    let mut width = vec![0usize; levels];
-    for &l in &level {
-        width[l as usize] += 1;
-    }
-    CompGraph {
-        succ_off,
-        succ,
-        level,
-        levels,
-        max_width: width.into_iter().max().unwrap_or(0),
-    }
-}
-
-/// Floor of the chunk-size target, in cumulative rules: below this, task
-/// handoff overhead (an atomic per dependency edge plus an occasional
-/// queue crossing) is comparable to the evaluation itself, so small
-/// wavefronts collapse into a single task.
-const CHUNK_RULES_MIN: usize = 2_048;
-
-/// Ceiling of the chunk-size target: past this, bigger chunks stop
-/// amortizing anything and only make the tail of a wavefront lumpier.
-const CHUNK_RULES_MAX: usize = 8_192;
-
-/// The unit of parallel scheduling: one task per **chunk** of components.
-///
-/// Components on the same wavefront level are mutually independent, so any
-/// contiguous run of them (in emission-ordinal order) can be evaluated by
-/// one worker without internal synchronization. `plan_chunks` packs each
-/// level into chunks of roughly `level_rules / (4·threads)` cumulative
-/// rules, clamped to [`CHUNK_RULES_MIN`]..=[`CHUNK_RULES_MAX`] — dependency
-/// counting then runs over per-chunk atomics instead of per-component
-/// ones, which is what makes fine-grained condensations (tens of thousands
-/// of singleton components) scale instead of drowning in queue traffic.
-///
-/// Chunks never span levels and are numbered level by level, so chunk ids
-/// are a topological order of the chunk DAG and every dependency edge
-/// points from a smaller id to a larger one.
-struct ChunkPlan {
-    /// Component ordinals, concatenated per chunk; ascending within each
-    /// chunk, grouped by wavefront level across chunks.
-    comps: Vec<u32>,
-    /// CSR offsets into `comps`, `num_chunks() + 1` entries.
-    off: Vec<u32>,
-    /// Deduplicated chunk-level dependency edges, successor CSR.
-    succ_off: Vec<u32>,
-    succ: Vec<u32>,
-    /// Distinct predecessor chunks per chunk — the scheduler's initial
-    /// dependency counters.
-    indegree: Vec<u32>,
-}
-
-impl ChunkPlan {
-    fn num_chunks(&self) -> usize {
-        self.off.len() - 1
-    }
-
-    fn chunk(&self, k: u32) -> &[u32] {
-        let k = k as usize;
-        &self.comps[self.off[k] as usize..self.off[k + 1] as usize]
-    }
-
-    fn successors(&self, k: u32) -> &[u32] {
-        let k = k as usize;
-        &self.succ[self.succ_off[k] as usize..self.succ_off[k + 1] as usize]
-    }
-}
-
-/// Packs the condensation into scheduler chunks (see [`ChunkPlan`]).
-///
-/// A component weighs its rule count plus one, so rule-free components
-/// (pure facts, isolated atoms) still fill chunks instead of producing
-/// unboundedly long ones. The per-level target divides the level across
-/// `4·threads` chunks — enough slack for load balancing without reverting
-/// to per-component granularity — and the clamp keeps tasks coarse on
-/// levels too small to be worth splitting at all.
-fn plan_chunks(
-    prog: &GroundProgram,
-    cond: &Condensation,
-    graph: &CompGraph,
-    threads: usize,
-) -> ChunkPlan {
-    let ncomp = cond.num_components();
-    let weight = |c: u32| -> usize {
-        cond.component(c as usize)
-            .iter()
-            .map(|&a| prog.rules_with_head_local(a).len())
-            .sum::<usize>()
-            + 1
-    };
-
-    // Counting sort by level: stable, so ordinals stay ascending inside
-    // each level — the order the serial path would visit them in.
-    let nlevels = graph.levels;
-    let mut level_off = vec![0u32; nlevels + 1];
-    for &l in &graph.level {
-        level_off[l as usize + 1] += 1;
-    }
-    for l in 0..nlevels {
-        level_off[l + 1] += level_off[l];
-    }
-    let mut by_level = vec![0u32; ncomp];
-    let mut fill = level_off.clone();
-    for c in 0..ncomp as u32 {
-        let l = graph.level[c as usize] as usize;
-        by_level[fill[l] as usize] = c;
-        fill[l] += 1;
-    }
-
-    let mut comps = Vec::with_capacity(ncomp);
-    let mut off: Vec<u32> = vec![0];
-    let mut chunk_of = vec![0u32; ncomp];
-    for l in 0..nlevels {
-        let lvl = &by_level[level_off[l] as usize..level_off[l + 1] as usize];
-        let level_rules: usize = lvl.iter().map(|&c| weight(c)).sum();
-        let target = (level_rules / (4 * threads).max(1)).clamp(CHUNK_RULES_MIN, CHUNK_RULES_MAX);
-        let mut acc = 0usize;
-        for &c in lvl {
-            if acc >= target {
-                off.push(comps.len() as u32);
-                acc = 0;
-            }
-            chunk_of[c as usize] = off.len() as u32 - 1;
-            comps.push(c);
-            acc += weight(c);
-        }
-        // Chunks never span levels: close the level's trailing chunk.
-        if comps.len() as u32 > off.last().copied().unwrap_or(0) {
-            off.push(comps.len() as u32);
-        }
-    }
-    let nchunks = off.len() - 1;
-
-    // Project the deduped component edges onto chunks. Levels order chunk
-    // ids topologically, so every surviving edge satisfies `kd < kc`;
-    // sort-dedup collapses the many component edges that land on the same
-    // chunk pair.
-    let mut edges: Vec<u64> = Vec::new();
-    for d in 0..ncomp as u32 {
-        let kd = chunk_of[d as usize] as u64;
-        for &c in graph.successors(d) {
-            let kc = chunk_of[c as usize] as u64;
-            if kd != kc {
-                edges.push((kd << 32) | kc);
-            }
-        }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-
-    let mut succ_count = vec![0u32; nchunks];
-    let mut indegree = vec![0u32; nchunks];
-    for &e in &edges {
-        succ_count[(e >> 32) as usize] += 1;
-        indegree[(e & 0xffff_ffff) as usize] += 1;
-    }
-    let mut succ_off = Vec::with_capacity(nchunks + 1);
-    let mut acc = 0u32;
-    succ_off.push(0);
-    for &n in &succ_count {
-        acc += n;
-        succ_off.push(acc);
-    }
-    let mut succ = vec![0u32; acc as usize];
-    let mut fill: Vec<u32> = succ_off[..nchunks].to_vec();
-    for &e in &edges {
-        let kd = (e >> 32) as usize;
-        succ[fill[kd] as usize] = (e & 0xffff_ffff) as u32;
-        fill[kd] += 1;
-    }
-
-    ChunkPlan {
-        comps,
-        off,
-        succ_off,
-        succ,
-        indegree,
-    }
-}
-
-/// Shared scheduler state of one parallel solve. All ids are **chunk**
-/// ids into the run's [`ChunkPlan`].
-struct Scheduler<'a> {
-    plan: &'a ChunkPlan,
-    /// Ready chunks that no worker has claimed inline. Order is
-    /// irrelevant for the result (verdicts land in per-component slots).
-    queue: Mutex<Vec<u32>>,
-    ready: Condvar,
-    /// Chunks not yet evaluated; `0` wakes and terminates everyone.
-    remaining: AtomicUsize,
-    /// Live dependency counters, seeded from `plan.indegree`.
-    indegree: Vec<AtomicU32>,
-    queued: AtomicUsize,
-    /// Set by [`AbortOnPanic`] when a worker unwinds: tells everyone
-    /// else to stop waiting for chunks that will never complete.
-    aborted: AtomicBool,
-    /// First budget trip observed by any worker, encoded as
-    /// `TruncationReason as u32 + 1` (`0` = none). A tripped chunk's
-    /// out-edges are never released, so dependents of unevaluated
-    /// components stay unevaluated — every verdict that *was* published is
-    /// exactly the complete run's value.
-    tripped: AtomicU32,
-}
-
-impl Scheduler<'_> {
-    /// Records the first budget trip and wakes every idle worker so the
-    /// scope can join. Later trips lose the race and are dropped — the
-    /// first reason is the one reported, matching the serial sweep.
-    fn trip(&self, reason: TruncationReason) {
-        if self
-            .tripped
-            .compare_exchange(0, reason as u32 + 1, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            let _q = self.queue.lock();
-            self.ready.notify_all();
-        }
-    }
-
-    /// The first recorded trip, if any.
-    fn trip_reason(&self) -> Option<TruncationReason> {
-        TruncationReason::from_index(self.tripped.load(Ordering::Acquire))
-    }
-    /// Shares a batch of ready chunks with the other workers — one
-    /// lock acquisition regardless of batch size.
-    fn push_batch(&self, items: &[u32]) {
-        if items.is_empty() {
-            return;
-        }
-        // Poisoning here means another worker panicked; that panic is
-        // re-raised at join, so recovering the queue data is safe (it is
-        // discarded with the scope). Same for every lock below.
-        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        q.extend_from_slice(items);
-        drop(q);
-        self.queued.fetch_add(items.len(), Ordering::Relaxed);
-        if items.len() == 1 {
-            self.ready.notify_one();
-        } else {
-            self.ready.notify_all();
-        }
-    }
-
-    /// Blocks until work is ready or everything is done. Returns one
-    /// chunk and moves a fair share of the remaining ready work into
-    /// the caller's private `backlog`, so small-chunk cascades don't
-    /// take the lock once per chunk.
-    fn pop_batch(&self, threads: usize, backlog: &mut Vec<u32>) -> Option<u32> {
-        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(ord) = q.pop() {
-                let extra = (q.len() / threads).min(64);
-                let at = q.len() - extra;
-                backlog.extend(q.drain(at..));
-                return Some(ord);
-            }
-            if self.remaining.load(Ordering::Acquire) == 0
-                || self.aborted.load(Ordering::Acquire)
-                || self.tripped.load(Ordering::Acquire) != 0
-            {
-                return None;
-            }
-            q = self.ready.wait(q).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// Unblocks every idle worker if its thread unwinds: without this, a
-/// panic inside one component's evaluation would leave `remaining`
-/// nonzero forever, the other workers asleep on the condvar, and
-/// `std::thread::scope` joining a deadlock instead of propagating the
-/// panic.
-struct AbortOnPanic<'a, 'b>(&'a Scheduler<'b>);
-
-impl Drop for AbortOnPanic<'_, '_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.aborted.store(true, Ordering::Release);
-            // The queue mutex may be poisoned by the same panic; waking
-            // the sleepers matters, the guard does not.
-            let _q = self.0.queue.lock();
-            self.0.ready.notify_all();
-        }
-    }
-}
-
-/// Worker-side partial stats, merged under a mutex once per worker.
-#[derive(Default)]
-struct PartialStats {
-    definite: usize,
-    recursive: usize,
-    atoms_in_recursive: usize,
-    reused: usize,
-    inline_run: usize,
-}
-
-/// Evaluates all components with `threads` scoped workers over a
-/// dependency-counting topological wavefront queue of **chunks** (see
-/// [`ChunkPlan`]). A worker that claims a chunk evaluates its components
-/// in ascending ordinal order — they share a wavefront level, so none
-/// depends on another. Verdict publication order: a worker's relaxed
-/// truth stores happen-before any dependent's reads because every chunk
-/// edge is released by `fetch_sub(AcqRel)` on the dependent's counter
-/// (and queue handoffs add a mutex in between), and a chunk edge exists
-/// wherever a component edge crosses chunks.
-fn solve_parallel(
-    ctx: &EvalCtx<'_>,
-    threads: usize,
-    stats: &mut ModularStats,
-) -> Option<TruncationReason> {
-    let graph = comp_graph(ctx.prog, ctx.cond);
-    let plan = plan_chunks(ctx.prog, ctx.cond, &graph, threads);
-    let nchunks = plan.num_chunks();
-    let sched = Scheduler {
-        plan: &plan,
-        queue: Mutex::new(Vec::new()),
-        ready: Condvar::new(),
-        remaining: AtomicUsize::new(nchunks),
-        indegree: plan.indegree.iter().map(|&d| AtomicU32::new(d)).collect(),
-        queued: AtomicUsize::new(0),
-        aborted: AtomicBool::new(false),
-        tripped: AtomicU32::new(0),
-    };
-    let budgeted = !ctx.budget.is_unlimited();
-    // Seed the wavefront roots in one batch.
-    let roots: Vec<u32> = (0..nchunks as u32)
-        .filter(|&k| plan.indegree[k as usize] == 0)
-        .collect();
-    sched.push_batch(&roots);
-
-    let totals: Mutex<PartialStats> = Mutex::new(PartialStats::default());
-    std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let _abort_guard = AbortOnPanic(&sched);
-                    let mut scratch = Scratch::new(ctx.prog.num_rules());
-                    let mut local = PartialStats::default();
-                    // Chunks this worker may run without touching the shared
-                    // queue: one chained dependent per finished chunk plus
-                    // the fair share `pop_batch` handed over.
-                    let mut backlog: Vec<u32> = Vec::new();
-                    let mut share: Vec<u32> = Vec::new();
-                    loop {
-                        let k = match backlog.pop() {
-                            Some(k) => k,
-                            None => match sched.pop_batch(threads, &mut backlog) {
-                                Some(k) => k,
-                                None => break,
-                            },
-                        };
-                        // Chunk-boundary trip point. A chunk claimed after a
-                        // trip is abandoned unevaluated, and a chunk whose own
-                        // check trips never releases its out-edges — so no
-                        // component ever runs with an unevaluated dependency,
-                        // and every published verdict is final.
-                        if budgeted {
-                            if sched.tripped.load(Ordering::Acquire) != 0 {
-                                break;
-                            }
-                            if let Some(r) = ctx.budget.check(ctx.mem_estimate) {
-                                sched.trip(r);
-                                break;
-                            }
-                        }
-                        let mut completed = true;
-                        for &ord in sched.plan.chunk(k) {
-                            // Per-ordinal fault site: exact injection points for
-                            // the robustness harness (panic faults unwind through
-                            // `AbortOnPanic`; trip faults stop this chunk before
-                            // its edges are released).
-                            if budgeted {
-                                if let Some(r) = ctx.budget.fire_fault(FaultSite::WfsComponent(ord))
-                                {
-                                    sched.trip(r);
-                                    completed = false;
-                                    break;
-                                }
-                            }
-                            let out = process_component(ctx, ord, &mut scratch);
-                            if out.reused {
-                                local.reused += 1;
-                            }
-                            if out.definite {
-                                local.definite += 1;
-                            } else {
-                                local.recursive += 1;
-                                local.atoms_in_recursive += ctx.cond.component(ord as usize).len();
-                            }
-                        }
-                        if !completed {
-                            break;
-                        }
-                        // Publish: release this chunk's out-edges. The first
-                        // dependent that becomes ready is chained inline; the
-                        // rest go to the shared queue in one batch.
-                        share.clear();
-                        let mut chained = false;
-                        for &succ in sched.plan.successors(k) {
-                            if sched.indegree[succ as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                                if chained {
-                                    share.push(succ);
-                                } else {
-                                    chained = true;
-                                    backlog.push(succ);
-                                    local.inline_run += 1;
-                                }
-                            }
-                        }
-                        sched.push_batch(&share);
-                        if sched.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                            // Last chunk: wake every idle worker so the scope
-                            // can join.
-                            let _q = sched.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                            sched.ready.notify_all();
-                        }
-                    }
-                    let mut t = totals.lock().unwrap_or_else(PoisonError::into_inner);
-                    t.definite += local.definite;
-                    t.recursive += local.recursive;
-                    t.atoms_in_recursive += local.atoms_in_recursive;
-                    t.reused += local.reused;
-                    t.inline_run += local.inline_run;
-                })
-            })
-            .collect();
-        // Join explicitly and rethrow the first worker's own payload —
-        // the scope's generic "a scoped thread panicked" would lose the
-        // original message before `catch_unwind` at the engine boundary.
-        let mut first_panic = None;
-        for w in workers {
-            if let Err(payload) = w.join() {
-                first_panic.get_or_insert(payload);
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-    });
-
-    let totals = totals.into_inner().unwrap_or_else(PoisonError::into_inner);
-    stats.definite_components = totals.definite;
-    stats.recursive_components = totals.recursive;
-    stats.atoms_in_recursive = totals.atoms_in_recursive;
-    stats.components_reused = totals.reused;
-    stats.chunks = nchunks;
-    stats.inline_chunks = totals.inline_run;
-    stats.queued_chunks = sched.queued.load(Ordering::Relaxed);
-    stats.wavefronts = graph.levels;
-    stats.max_wavefront = graph.max_width;
-    sched.trip_reason()
 }
 
 /// Tarjan's strongly-connected-components algorithm (iterative) over the
@@ -1527,38 +830,6 @@ mod tests {
             assert_eq!(modular.value(atom), wp.value(atom), "vs Wp on {atom:?}");
             assert_eq!(modular.value(atom), alt.value(atom), "vs Alt on {atom:?}");
         }
-        agree_with_parallel(&p, &modular);
-    }
-
-    /// Parallel runs at several worker counts must reproduce the serial
-    /// result bit for bit: values, decision stages, stage count and the
-    /// semantic (scheduling-independent) stats.
-    fn agree_with_parallel(p: &GroundProgram, serial: &EngineResult) {
-        for threads in [2usize, 3, 8] {
-            let par = ModularEngine::new(p).with_threads(threads).solve();
-            assert_eq!(par.stages, serial.stages, "{threads} threads");
-            for &atom in p.atoms() {
-                assert_eq!(
-                    par.value(atom),
-                    serial.value(atom),
-                    "{threads} threads, value of {atom:?}"
-                );
-                assert_eq!(
-                    par.stage_of(atom),
-                    serial.stage_of(atom),
-                    "{threads} threads, stage of {atom:?}"
-                );
-            }
-            let (ps, ss) = (par.stats.unwrap(), serial.stats.unwrap());
-            assert_eq!(ps.components, ss.components);
-            assert_eq!(ps.definite_components, ss.definite_components);
-            assert_eq!(ps.recursive_components, ss.recursive_components);
-            assert_eq!(ps.unknown_atoms, ss.unknown_atoms);
-            assert_eq!(ps.components_reused, ss.components_reused);
-            let pm = par.memo.as_ref().unwrap();
-            let sm = serial.memo.as_ref().unwrap();
-            assert_eq!(pm.fingerprints, sm.fingerprints, "{threads} threads");
-        }
     }
 
     #[test]
@@ -1586,48 +857,6 @@ mod tests {
                 assert_eq!(cond.comp_of[atom as usize] as usize, c);
             }
         }
-    }
-
-    #[test]
-    fn comp_graph_dedups_edges_and_levels_wavefronts() {
-        // a0 (fact); a1 ← a0, a0 (dup body refs collapse to one edge);
-        // a2 ← a0; a3 ← a1, a2.
-        let mut b = GroundProgramBuilder::new();
-        b.add_fact(a(0));
-        b.add_rule(GroundRule::new(a(1), vec![a(0)], vec![a(0)]));
-        b.add_rule(GroundRule::new(a(2), vec![a(0)], vec![]));
-        b.add_rule(GroundRule::new(a(3), vec![a(1), a(2)], vec![]));
-        let p = b.finish();
-        let cond = condensation(&p);
-        let g = comp_graph(&p, &cond);
-        let ord = |l: u32| cond.comp_of[l as usize];
-        // a0's component has two dependents (a1, a2) — the duplicated
-        // body occurrence of a0 in a1's rule must not double the edge.
-        assert_eq!(g.successors(ord(0)).len(), 2);
-        // Wavefronts: {a0}, {a1, a2}, {a3}.
-        assert_eq!(g.levels, 3);
-        assert_eq!(g.max_width, 2);
-        assert_eq!(g.level[ord(0) as usize], 0);
-        assert_eq!(g.level[ord(1) as usize], 1);
-        assert_eq!(g.level[ord(2) as usize], 1);
-        assert_eq!(g.level[ord(3) as usize], 2);
-
-        // The chunk plan over this tiny graph: every level is far below
-        // the chunk-size floor, so each wavefront becomes exactly one
-        // chunk and the chunk DAG is the 3-node chain of the levels.
-        let plan = plan_chunks(&p, &cond, &g, 4);
-        assert_eq!(plan.num_chunks(), 3);
-        assert_eq!(plan.chunk(0), &[ord(0)]);
-        assert_eq!(plan.chunk(2), &[ord(3)]);
-        let mut mid = plan.chunk(1).to_vec();
-        mid.sort_unstable();
-        let mut expect = vec![ord(1), ord(2)];
-        expect.sort_unstable();
-        assert_eq!(mid, expect);
-        assert_eq!(plan.indegree, vec![0, 1, 1]);
-        assert_eq!(plan.successors(0), &[1]);
-        assert_eq!(plan.successors(1), &[2]);
-        assert_eq!(plan.successors(2), &[] as &[u32]);
     }
 
     #[test]
@@ -1767,20 +996,6 @@ mod tests {
         assert_eq!(stats.components_reused, 3, "{stats:?}");
         assert_eq!(inc.value(a(2)), Truth::Unknown, "reused unknown survives");
         assert_eq!(inc.value(a(5)), Truth::False, "new rule evaluated fresh");
-
-        // The incremental path composes with parallel evaluation:
-        // memo-reused components skip evaluation on every worker count and
-        // the result stays bit-identical.
-        for threads in [2usize, 4, 8] {
-            let par = ModularEngine::new(&grown)
-                .with_threads(threads)
-                .solve_incremental(Some((&base, &base_res)));
-            for &atom in grown.atoms() {
-                assert_eq!(par.value(atom), inc.value(atom), "on {atom:?}");
-                assert_eq!(par.stage_of(atom), inc.stage_of(atom), "on {atom:?}");
-            }
-            assert_eq!(par.stats.unwrap().components_reused, 3);
-        }
     }
 
     #[test]
@@ -1805,134 +1020,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_counters_cover_every_chunk() {
-        // A two-level diamond fanout: every scheduler chunk is either
-        // seeded into the queue or chained inline, and together they
-        // cover the whole plan.
-        let mut b = GroundProgramBuilder::new();
-        b.add_fact(a(0));
-        for i in 1..64 {
-            b.add_rule(GroundRule::new(a(i), vec![a(0)], vec![]));
-            b.add_rule(GroundRule::new(a(64 + i), vec![a(i)], vec![]));
-        }
-        let p = b.finish();
-        let res = ModularEngine::new(&p).with_threads(4).solve();
-        let stats = res.stats.unwrap();
-        assert_eq!(stats.threads, 4.min(stats.components));
-        assert!(
-            stats.chunks >= 1 && stats.chunks <= stats.components,
-            "{stats:?}"
-        );
-        assert_eq!(
-            stats.queued_chunks + stats.inline_chunks,
-            stats.chunks,
-            "{stats:?}"
-        );
-        assert!(stats.wavefronts >= 3, "{stats:?}");
-        assert!(stats.max_wavefront >= 63, "{stats:?}");
-        // Serial runs never build the component DAG or a chunk plan.
-        let serial = ModularEngine::new(&p).solve().stats.unwrap();
-        assert_eq!(serial.threads, 1);
-        assert_eq!(serial.wavefronts, 0);
-        assert_eq!(serial.chunks, 0);
-        assert_eq!(serial.queued_chunks + serial.inline_chunks, 0);
-    }
-
-    #[test]
-    fn single_component_program_schedules_one_chunk() {
-        // One draw cycle = one component: `resolve_threads` clamps every
-        // requested worker count to 1, so the run stays on the serial
-        // path (no plan at all) and still agrees with itself.
-        let mut b = GroundProgramBuilder::new();
-        b.add_rule(GroundRule::new(a(0), vec![], vec![a(1)]));
-        b.add_rule(GroundRule::new(a(1), vec![], vec![a(0)]));
-        let p = b.finish();
-        for threads in [1usize, 2, 4, 8] {
-            let res = ModularEngine::new(&p).with_threads(threads).solve();
-            assert_eq!(res.value(a(0)), Truth::Unknown);
-            assert_eq!(res.value(a(1)), Truth::Unknown);
-            let stats = res.stats.unwrap();
-            assert_eq!(stats.threads, 1, "{stats:?}");
-            assert_eq!(stats.chunks, 0, "serial path plans nothing");
-        }
-
-        // Two independent components on one wavefront level do exercise
-        // the scheduler — as a plan of exactly one chunk, which must run
-        // once and terminate at every worker count.
-        let mut b = GroundProgramBuilder::new();
-        b.add_fact(a(0));
-        b.add_fact(a(1));
-        let p = b.finish();
-        let serial = ModularEngine::new(&p).solve();
-        for threads in [2usize, 4, 8] {
-            let res = ModularEngine::new(&p).with_threads(threads).solve();
-            for &atom in p.atoms() {
-                assert_eq!(res.value(atom), serial.value(atom));
-                assert_eq!(res.stage_of(atom), serial.stage_of(atom));
-            }
-            let stats = res.stats.unwrap();
-            assert_eq!(stats.chunks, 1, "{stats:?}");
-            assert_eq!(stats.queued_chunks + stats.inline_chunks, 1, "{stats:?}");
-        }
-    }
-
-    #[test]
-    fn widest_wavefront_fitting_one_chunk_stays_one_chunk() {
-        // A broad fanout whose total rule weight stays below the
-        // chunk-size floor: every wavefront level must collapse into a
-        // single chunk, so the chunk count equals the wavefront count.
-        let mut b = GroundProgramBuilder::new();
-        b.add_fact(a(0));
-        for i in 1..200 {
-            b.add_rule(GroundRule::new(a(i), vec![a(0)], vec![]));
-        }
-        let p = b.finish();
-        // 4 threads × 200 rules: level_rules / (4·threads) is far below
-        // CHUNK_RULES_MIN, so the clamp makes one chunk per level.
-        let res = ModularEngine::new(&p).with_threads(4).solve();
-        let stats = res.stats.unwrap();
-        assert_eq!(stats.wavefronts, 2, "{stats:?}");
-        assert_eq!(stats.max_wavefront, 199, "{stats:?}");
-        assert_eq!(stats.chunks, 2, "{stats:?}");
-        let serial = ModularEngine::new(&p).solve();
-        for &atom in p.atoms() {
-            assert_eq!(res.value(atom), serial.value(atom));
-        }
-    }
-
-    #[test]
-    fn panic_inside_a_chunk_propagates_without_deadlock() {
-        // A panic while evaluating one component of a chunk must unwind
-        // out of `solve` (via the scope join) rather than leave sibling
-        // workers asleep on the condvar — at every worker count,
-        // including the serial path.
-        let mut b = GroundProgramBuilder::new();
-        b.add_fact(a(0));
-        for i in 1..64 {
-            b.add_rule(GroundRule::new(a(i), vec![a(0)], vec![]));
-            b.add_rule(GroundRule::new(a(64 + i), vec![a(i)], vec![]));
-        }
-        let p = b.finish();
-        let victim = condensation(&p).num_components() as u32 / 2;
-        let plan = wfdl_core::budget::FaultPlan {
-            site: FaultSite::WfsComponent(victim),
-            kind: wfdl_core::budget::FaultKind::Panic,
-        };
-        for threads in [1usize, 2, 4, 8] {
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                ModularEngine::new(&p)
-                    .with_threads(threads)
-                    .with_budget(SolveBudget::unlimited().with_fault(plan))
-                    .solve()
-            }));
-            assert!(outcome.is_err(), "panic swallowed at {threads} threads");
-        }
-    }
-
-    #[test]
     fn budget_trip_truncates_to_a_sound_under_approximation() {
         // A trip fault at a mid-sweep component stops evaluation at a
-        // component/chunk boundary: the result reports the reason, carries
+        // component boundary: the result reports the reason, carries
         // no memo, and every decided atom agrees with the complete model
         // (nothing flips — undecided atoms only degrade to Unknown).
         let mut b = GroundProgramBuilder::new();
@@ -1950,32 +1040,25 @@ mod tests {
             site: FaultSite::WfsComponent(victim),
             kind: wfdl_core::budget::FaultKind::TripCancel,
         };
-        for threads in [1usize, 2, 4, 8] {
-            let res = ModularEngine::new(&p)
-                .with_threads(threads)
-                .with_budget(SolveBudget::unlimited().with_fault(plan))
-                .solve();
-            assert_eq!(
-                res.truncation,
-                Some(TruncationReason::Cancelled),
-                "at {threads} threads"
-            );
-            assert!(res.memo.is_none(), "truncated result must drop its memo");
-            let mut undecided = 0usize;
-            for &atom in p.atoms() {
-                match res.value(atom) {
-                    Truth::Unknown => {
-                        undecided += 1;
-                        // Sound under-approximation: only degrades.
-                    }
-                    v => assert_eq!(v, full.value(atom), "decided atom flipped"),
+        let res = ModularEngine::new(&p)
+            .with_budget(SolveBudget::unlimited().with_fault(plan))
+            .solve();
+        assert_eq!(res.truncation, Some(TruncationReason::Cancelled));
+        assert!(res.memo.is_none(), "truncated result must drop its memo");
+        let mut undecided = 0usize;
+        for &atom in p.atoms() {
+            match res.value(atom) {
+                Truth::Unknown => {
+                    undecided += 1;
+                    // Sound under-approximation: only degrades.
                 }
+                v => assert_eq!(v, full.value(atom), "decided atom flipped"),
             }
-            assert!(
-                undecided > 0,
-                "trip at {victim} should leave atoms undecided"
-            );
         }
+        assert!(
+            undecided > 0,
+            "trip at {victim} should leave atoms undecided"
+        );
     }
 
     #[test]
@@ -2001,8 +1084,5 @@ mod tests {
         let res = ModularEngine::new(&p).solve();
         assert_eq!(res.stages, 0);
         assert_eq!(res.stats.unwrap().components, 0);
-        // Degenerate thread counts are fine too.
-        let res = ModularEngine::new(&p).with_threads(8).solve();
-        assert_eq!(res.stats.unwrap().threads, 1);
     }
 }

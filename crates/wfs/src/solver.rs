@@ -38,14 +38,7 @@ pub struct WfsOptions {
     pub budget: ChaseBudget,
     /// Engine selection.
     pub engine: EngineKind,
-    /// Worker threads for the chase match phase and for
-    /// [`EngineKind::Modular`]: `0` (the default) decides automatically —
-    /// `std::thread::available_parallelism` for large workloads, serial
-    /// for small ones; `1` forces the serial path; any other `n` spawns
-    /// exactly `n` workers. The model is bit-identical for every setting
-    /// (see [`crate::scc`] and the chase crate's "Sharded saturation"
-    /// docs); the global engines ignore this field for evaluation but the
-    /// chase still shards.
+    /// Read by nothing: kept only for `perfbench/`; solves are serial.
     pub threads: usize,
 }
 
@@ -69,12 +62,6 @@ impl WfsOptions {
     /// Replaces the engine.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Replaces the worker-thread count (`0` = auto, `1` = serial).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
         self
     }
 }
@@ -225,8 +212,7 @@ pub struct SolveStats {
     /// Dependency components whose verdicts were copied from the previous
     /// solve (only [`EngineKind::Modular`] reuses verdicts).
     pub components_reused: usize,
-    /// Worker threads the engine ran with (`1` = serial; always `1` for
-    /// the global engines, which have no parallel path).
+    /// Always `1`: kept only for `perfbench/`; solves are serial.
     pub threads: usize,
     /// True iff the solve was restricted to a query-relevant program
     /// slice ([`SolveRequest::slice`]).
@@ -291,7 +277,7 @@ impl<'a> SolveRequest<'a> {
     }
 
     /// Runs under a [`SolveBudget`]: the chase checks it at round
-    /// boundaries and the modular engine at component/chunk boundaries.
+    /// boundaries and the modular engine at component boundaries.
     /// On a trip the model reports a truncated
     /// [`WellFoundedModel::outcome`] and degrades soundly (see
     /// [`WellFoundedModel::value`]).
@@ -421,21 +407,18 @@ pub fn solve(req: SolveRequest<'_>) -> SolveOutput {
     let (segment, resumed_from) = match resumed {
         Some((segment, prev)) => (segment, Some(prev)),
         None => {
-            // The thread knob rides into the chase on the budget;
-            // saturation is bit-identical for every value, so options
-            // equality (and therefore the façade's cache/resume decisions)
-            // stays on the user's fields.
-            let chase_budget = options.budget.with_threads(options.threads);
             let segment = match slice {
                 Some(mask) => ChaseSegment::build_restricted_budgeted(
                     universe,
                     db,
                     program,
-                    chase_budget,
+                    options.budget,
                     &budget,
                     mask,
                 ),
-                None => ChaseSegment::build_budgeted(universe, db, program, chase_budget, &budget),
+                None => {
+                    ChaseSegment::build_budgeted(universe, db, program, options.budget, &budget)
+                }
             };
             (segment, None)
         }
@@ -483,7 +466,7 @@ pub fn solve(req: SolveRequest<'_>) -> SolveOutput {
     let stats = SolveStats {
         incremental: resumed_from.is_some(),
         components_reused: model.result.stats.map_or(0, |s| s.components_reused),
-        threads: model.result.stats.map_or(1, |s| s.threads.max(1)),
+        threads: 1,
         sliced: slice.is_some(),
         ..SolveStats::default()
     };
@@ -507,7 +490,6 @@ fn run_engine(
 ) -> EngineResult {
     match options.engine {
         EngineKind::Modular => ModularEngine::new(ground)
-            .with_threads(options.threads)
             .with_budget(budget.clone())
             .solve_incremental(memo.map(|p| (&p.ground, &p.result))),
         // The global engines have no internal trip points: under a budget

@@ -1,25 +1,19 @@
 //! `wfdl` — command-line well-founded reasoner for guarded normal Datalog±.
 //!
 //! ```text
-//! wfdl run program.dl   [--facts data.tsv …] [--depth N] [--threads N]
+//! wfdl run program.dl   [--facts data.tsv …] [--depth N]
 //!                       [--engine modular|wp|wp-literal|alternating|forward]
 //!                       [--deadline-ms N] [--mem-budget BYTES]
 //!                       [--model] [--hidden] [--forest N] [--stats]
 //! wfdl query program.dl --q '?- win(a).' [--q '?(X) win(X).' …]
-//!                       [--facts data.tsv …] [--depth N] [--threads N] [--engine …]
+//!                       [--facts data.tsv …] [--depth N] [--engine …]
 //!                       [--deadline-ms N] [--mem-budget BYTES] [--sliced] [--stats]
 //! wfdl check program.dl            # parse + validate only
 //! wfdl lint  program.dl [--facts data.tsv …] [--format text|json] [--deny warn]
 //! wfdl serve program.dl [--addr HOST:PORT] [--workers N]
-//!                       [--facts data.tsv …] [--depth N] [--threads N] [--engine …]
+//!                       [--facts data.tsv …] [--depth N] [--engine …]
 //!                       [--deadline-ms N]
 //! ```
-//!
-//! `--threads N` sets the worker count for both parallel phases — the
-//! sharded chase match and the modular engine's chunked component
-//! scheduler (`0` = auto-detect from the machine, `1` = serial; the
-//! default is auto). The computed model is bit-identical for every
-//! setting.
 //!
 //! `--deadline-ms N` bounds the solve's wall-clock time and `--mem-budget
 //! BYTES` its working memory. A tripped solve stops at a clean round /
@@ -107,9 +101,6 @@ struct Options {
     file: String,
     depth: Option<u32>,
     engine: EngineKind,
-    /// Worker threads for the chase match and the modular engine
-    /// (`0` = auto, `1` = serial).
-    threads: Option<usize>,
     show_model: bool,
     show_hidden: bool,
     forest_depth: Option<u32>,
@@ -124,7 +115,8 @@ struct Options {
     mem_budget: Option<usize>,
     /// Bind address for `wfdl serve` (default `127.0.0.1:8080`).
     addr: Option<String>,
-    /// HTTP worker threads for `wfdl serve` (default 4).
+    /// HTTP worker threads for `wfdl serve` (default 4, clamped to
+    /// 1..=256).
     workers: Option<usize>,
     /// Output format for `wfdl lint` (`text` or `json`).
     format: Option<String>,
@@ -137,20 +129,19 @@ struct Options {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: wfdl run <file>   [--facts data.tsv …] [--depth N] [--threads N]\n\
+        "usage: wfdl run <file>   [--facts data.tsv …] [--depth N]\n\
          \x20                     [--engine modular|wp|wp-literal|alternating|forward]\n\
          \x20                     [--deadline-ms N] [--mem-budget BYTES]\n\
          \x20                     [--model] [--hidden] [--forest N] [--stats]\n\
          \x20      wfdl query <file> --q '?- ….' [--q '?(X) … .' …]\n\
-         \x20                     [--facts data.tsv …] [--depth N] [--threads N] [--engine …]\n\
+         \x20                     [--facts data.tsv …] [--depth N] [--engine …]\n\
          \x20                     [--deadline-ms N] [--mem-budget BYTES] [--sliced] [--stats]\n\
          \x20      wfdl check <file>\n\
          \x20      wfdl lint <file>  [--facts data.tsv …] [--format text|json] [--deny warn]\n\
          \x20      wfdl serve <file> [--addr HOST:PORT] [--workers N]\n\
-         \x20                     [--facts data.tsv …] [--depth N] [--threads N] [--engine …]\n\
+         \x20                     [--facts data.tsv …] [--depth N] [--engine …]\n\
          \x20                     [--deadline-ms N]\n\
-         \x20      (--threads: 0 = auto, 1 = serial, N = N workers;\n\
-         \x20       --sliced: goal-directed solve per query — identical answers,\n\
+         \x20      (--sliced: goal-directed solve per query — identical answers,\n\
          \x20       only the query-relevant program slice is solved;\n\
          \x20       a deadline/memory-tripped run reports its truncation on\n\
          \x20       stderr and answers as a sound under-approximation;\n\
@@ -168,7 +159,6 @@ fn parse_args() -> Options {
         file,
         depth: None,
         engine: EngineKind::Modular,
-        threads: None,
         show_model: false,
         show_hidden: false,
         forest_depth: None,
@@ -188,10 +178,6 @@ fn parse_args() -> Options {
             "--depth" => {
                 let v = args.next().unwrap_or_else(|| usage());
                 opts.depth = Some(v.parse().unwrap_or_else(|_| usage()));
-            }
-            "--threads" => {
-                let v = args.next().unwrap_or_else(|| usage());
-                opts.threads = Some(v.parse().unwrap_or_else(|_| usage()));
             }
             "--engine" => {
                 let v = args.next().unwrap_or_else(|| usage());
@@ -306,7 +292,6 @@ fn main() -> ExitCode {
         }
         "lint" => {
             if opts.depth.is_some()
-                || opts.threads.is_some()
                 || opts.engine != EngineKind::Modular
                 || opts.show_model
                 || opts.show_hidden
@@ -322,7 +307,6 @@ fn main() -> ExitCode {
         }
         "check" => {
             if opts.depth.is_some()
-                || opts.threads.is_some()
                 || opts.engine != EngineKind::Modular
                 || opts.show_model
                 || opts.show_hidden
@@ -511,7 +495,7 @@ fn serve(opts: Options, kb: KnowledgeBase) -> ExitCode {
     // `--deadline-ms` bounds each re-solve through `resolve_deadline`.
     let options = wfs_options(&opts, &kb);
     let kb = kb.with_options(options);
-    let workers = opts.workers.unwrap_or(4).max(1);
+    let workers = wfdl_serve::resolve_workers(opts.workers.unwrap_or(4));
     let serve_options = wfdatalog::serve::ServeOptions {
         addr: opts
             .addr
@@ -552,20 +536,15 @@ fn serve(opts: Options, kb: KnowledgeBase) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The solver options the CLI flags ask for: `--depth`, `--engine` and
-/// `--threads`.
+/// The solver options the CLI flags ask for: `--depth` and `--engine`.
 fn wfs_options(opts: &Options, kb: &KnowledgeBase) -> WfsOptions {
-    let options = match opts.depth {
+    match opts.depth {
         Some(d) => WfsOptions::depth(d),
         // Auto: unbounded when the program has no existentials, else
         // depth 12 (the KnowledgeBase default).
         None => kb.effective_options(),
     }
-    .with_engine(opts.engine);
-    match opts.threads {
-        Some(t) => options.with_threads(t),
-        None => options,
-    }
+    .with_engine(opts.engine)
 }
 
 /// Persists the CLI's solve flags on the knowledge base: the
@@ -594,7 +573,7 @@ fn solve(opts: &Options, kb: KnowledgeBase) -> std::sync::Arc<SolvedModel> {
     };
     if let Some(reason) = model.outcome().truncation() {
         // Degradation notice goes to stderr: plain stdout stays
-        // byte-identical across runs for the CI thread sweep.
+        // byte-identical across runs for the CI determinism check.
         eprintln!("wfdl: solve truncated ({reason}); answers are a sound under-approximation");
     }
     model
@@ -623,7 +602,7 @@ fn answer_query(model: &SolvedModel, label: &str, q: &wfdatalog::PreparedQuery) 
 /// answered by short-circuit (see `wfdatalog::query::prepared`). That
 /// verdict is correct but easy to misread as "solved and empty", so name
 /// the unresolved symbols on stderr — stdout stays byte-identical for the
-/// CI thread sweep.
+/// CI determinism check.
 fn warn_unresolved(model: &SolvedModel, index: usize, q: &wfdatalog::PreparedQuery) {
     let missing = q.unresolved_symbols(model.universe());
     if !missing.is_empty() {
@@ -718,7 +697,7 @@ fn query_sliced(opts: Options, kb: KnowledgeBase) -> ExitCode {
 fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
     if opts.stats {
         // Pre-solve lint summary (`%`-prefixed: exempt from the CI
-        // thread-sweep byte comparison, like every other stats line).
+        // determinism byte comparison, like every other stats line).
         let report = kb.analyze();
         outln!(
             "% lint: class={} stratified={} weakly_acyclic={} · \
@@ -752,12 +731,8 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
         );
         let cs = model.model().segment.stats();
         outln!(
-            "% chase: {} threads, {} rounds ({} sharded, {} shards total), \
-             {} frontier atoms, match {:.1}ms, merge {:.1}ms",
-            cs.threads,
+            "% chase: {} rounds, {} frontier atoms, match {:.1}ms, merge {:.1}ms",
             cs.rounds,
-            cs.parallel_rounds,
-            cs.shards,
             cs.frontier_atoms,
             cs.match_ns as f64 / 1e6,
             cs.merge_ns as f64 / 1e6
@@ -770,12 +745,6 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
             ss.incremental,
             ss.components_reused
         );
-        outln!(
-            "% chase threads: {} requested, {} effective, {} small-frontier serial rounds",
-            cs.threads,
-            cs.effective_threads,
-            cs.small_frontier_serial_rounds
-        );
         if let Some(s) = model.model().component_stats() {
             outln!(
                 "% condensation: {} components ({} definite, {} recursive), \
@@ -786,18 +755,6 @@ fn run(opts: Options, mut kb: KnowledgeBase) -> ExitCode {
                 s.largest_component,
                 s.atoms_in_recursive
             );
-            if s.threads > 1 {
-                outln!(
-                    "% parallel: {} threads, {} wavefronts (widest {}), \
-                     {} chunks ({} queued, {} chained inline)",
-                    s.threads,
-                    s.wavefronts,
-                    s.max_wavefront,
-                    s.chunks,
-                    s.queued_chunks,
-                    s.inline_chunks
-                );
-            }
         }
     }
 

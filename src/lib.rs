@@ -22,10 +22,8 @@
 //!    rows interned directly) and [`KnowledgeBase::insert`] it, or bulk-load
 //!    TSV/CSV with [`KnowledgeBase::insert_tsv`]. [`KnowledgeBase::retract`]
 //!    removes facts.
-//! 2. **Solve** — [`KnowledgeBase::solve`] runs chase + engine (across
-//!    worker threads when [`KnowledgeBase::with_threads`] asks for them —
-//!    the model is bit-identical either way) and packages
-//!    everything the serving path needs (model, constraint verdicts, a
+//! 2. **Solve** — [`KnowledgeBase::solve`] runs chase + engine and
+//!    packages everything the serving path needs (model, constraint verdicts, a
 //!    frozen universe snapshot) into an immutable [`SolvedModel`]. Solving
 //!    again without mutation returns the cached artifact; solving after an
 //!    **insert-only** delta re-solves *incrementally* (see below).
@@ -142,13 +140,9 @@
 //!   components without internal negation get one flat semi-naive pass,
 //!   and only components that are genuinely recursive through negation
 //!   (e.g. win–move draw cycles) invoke the `W_P` unfounded-set machinery
-//!   on their own (usually tiny) subprogram. Components on the same
-//!   topological wavefront are independent, and the engine evaluates them
-//!   **in parallel** when asked: set the worker count with
-//!   [`KnowledgeBase::with_threads`] / [`WfsOptions::threads`] (`wfdl run
-//!   --threads N` on the CLI) — `0` (the default) picks automatically,
-//!   `1` forces the serial path, and the computed model is bit-identical
-//!   for every setting. Per-component counters are returned as
+//!   on their own (usually tiny) subprogram. The sweep is serial: Tarjan's
+//!   emission order already puts every component after its dependencies.
+//!   Per-component counters are returned as
 //!   [`ModularStats`] via
 //!   [`WellFoundedModel::component_stats`](wfdl_wfs::WellFoundedModel::component_stats)
 //!   and printed by `wfdl run --stats`.
@@ -162,7 +156,7 @@
 //! they do to get there.
 //!
 //! The repo-level `ARCHITECTURE.md` is the full handbook: crate graph,
-//! data flow of one solve, determinism/parallelism invariants, and the
+//! data flow of one solve, determinism and concurrency invariants, and the
 //! budget/degradation contract.
 
 pub mod serve;
@@ -290,9 +284,6 @@ pub struct KnowledgeBase {
     budget: Option<ChaseBudget>,
     /// Configured engine; `None` = the default engine.
     engine: Option<EngineKind>,
-    /// Configured worker-thread count; `None` = auto (see
-    /// [`WfsOptions::threads`]).
-    threads: Option<usize>,
     /// Runtime resource limits for the next solves (deadline, cancel
     /// token, memory budget). Deliberately *not* part of the cached-model
     /// key: a budget bounds how much work a solve may do, it does not
@@ -354,7 +345,6 @@ impl KnowledgeBase {
             queries: lowered.queries,
             budget: None,
             engine: None,
-            threads: None,
             solve_budget: SolveBudget::unlimited(),
             last: None,
             delta: Vec::new(),
@@ -381,7 +371,6 @@ impl KnowledgeBase {
             queries: Vec::new(),
             budget: None,
             engine: None,
-            threads: None,
             solve_budget: SolveBudget::unlimited(),
             last: None,
             delta: Vec::new(),
@@ -516,7 +505,6 @@ impl KnowledgeBase {
     pub fn with_options(mut self, options: WfsOptions) -> Self {
         self.budget = Some(options.budget);
         self.engine = Some(options.engine);
-        self.threads = Some(options.threads);
         self
     }
 
@@ -529,15 +517,6 @@ impl KnowledgeBase {
     /// Sets the evaluation engine, keeping the configured budget.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = Some(engine);
-        self
-    }
-
-    /// Sets the solver's worker-thread count (`0` = auto, `1` = serial,
-    /// `n` = exactly `n` workers), keeping budget and engine. The model is
-    /// bit-identical for every setting — threads only change how fast the
-    /// solve gets there.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
         self
     }
 
@@ -575,7 +554,7 @@ impl KnowledgeBase {
         WfsOptions {
             budget: self.budget.unwrap_or_else(|| self.auto_budget()),
             engine: self.engine.unwrap_or_default(),
-            threads: self.threads.unwrap_or(0),
+            ..WfsOptions::default()
         }
     }
 

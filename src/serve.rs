@@ -73,7 +73,8 @@ use crate::{Error, KnowledgeBase, SolveBudget, SolvedModel};
 pub struct ServeOptions {
     /// Bind address (`127.0.0.1:0` = ephemeral port).
     pub addr: String,
-    /// HTTP worker threads.
+    /// HTTP worker threads, clamped to `1..=256`
+    /// ([`wfdl_serve::resolve_workers`]).
     pub workers: usize,
     /// Wall-clock budget for each ingest-triggered re-solve (and the
     /// initial solve). `None` = unlimited.
@@ -330,9 +331,8 @@ impl WfdlApp {
         ));
         push_json_str(&mut out, &model.outcome().to_string());
         out.push_str(&format!(
-            "}},\"solve\":{{\"incremental\":{},\"components_reused\":{},\"threads\":{},\
-             \"sliced\":{}}}",
-            ss.incremental, ss.components_reused, ss.threads, ss.sliced,
+            "}},\"solve\":{{\"incremental\":{},\"components_reused\":{},\"sliced\":{}}}",
+            ss.incremental, ss.components_reused, ss.sliced,
         ));
         if let Some(ms) = model.model().component_stats() {
             // `components_reused` deliberately matches the `solve` object's
@@ -340,26 +340,18 @@ impl WfdlApp {
             // memo-reuse counter everywhere.
             out.push_str(&format!(
                 ",\"modular\":{{\"components\":{},\"definite\":{},\"recursive\":{},\
-                 \"largest\":{},\"components_reused\":{},\"threads\":{},\"chunks\":{}}}",
+                 \"largest\":{},\"components_reused\":{}}}",
                 ms.components,
                 ms.definite_components,
                 ms.recursive_components,
                 ms.largest_component,
                 ms.components_reused,
-                ms.threads,
-                ms.chunks,
             ));
         }
         out.push_str(&format!(
-            ",\"chase\":{{\"threads\":{},\"rounds\":{},\"parallel_rounds\":{},\"shards\":{},\
-             \"frontier_atoms\":{},\"match_ns\":{},\"merge_ns\":{}}}}}",
-            cs.threads,
-            cs.rounds,
-            cs.parallel_rounds,
-            cs.shards,
-            cs.frontier_atoms,
-            cs.match_ns,
-            cs.merge_ns,
+            ",\"chase\":{{\"rounds\":{},\"frontier_atoms\":{},\"match_ns\":{},\
+             \"merge_ns\":{}}}}}",
+            cs.rounds, cs.frontier_atoms, cs.match_ns, cs.merge_ns,
         ));
         out
     }

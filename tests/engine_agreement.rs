@@ -1,6 +1,9 @@
 //! Property tests: the three WFS engines implement one semantics, and that
 //! semantics degenerates correctly on the positive and stratified
-//! fragments.
+//! fragments. On the production shapes (win–move draw graphs, random
+//! guarded workloads, wide condensations) the modular solve is also pinned
+//! exactly: re-solving reproduces the segment, the ground program, every
+//! value and every decision stage.
 
 // Test/example code: panicking on a broken invariant IS the failure
 // signal (see clippy.toml; helper fns here are outside #[test] scope).
@@ -14,8 +17,9 @@ use wfdatalog::wfs::{
 };
 use wfdatalog::{AtomId, Truth, Universe};
 use wfdl_gen::{
-    random_database, random_program, random_stratified_program, winmove_database, winmove_sigma,
-    RandomConfig, RandomDbConfig, WinMoveConfig,
+    chain_database, example4_sigma, fanout_database, fanout_sigma, random_database, random_program,
+    random_stratified_program, winmove_database, winmove_sigma, FanoutConfig, RandomConfig,
+    RandomDbConfig, WinMoveConfig,
 };
 
 /// Strategy: a random ground normal program over `n` atoms.
@@ -268,5 +272,254 @@ fn deepening_is_stable_on_example4() {
             }
         }
         prev = Some((u, model));
+    }
+}
+
+/// On a prebuilt ground program: two modular runs coincide in values,
+/// decision stages, stage count, semantic stats and fingerprint memos, and
+/// `Wp` and `Alternating` agree on every value.
+fn assert_ground_engines_agree_exactly(p: &GroundProgram, context: &str) {
+    let modular = ModularEngine::new(p).solve();
+    let again = ModularEngine::new(p).solve();
+    let wp = WpEngine::new(p).solve(StepMode::Accelerated);
+    let alt = AlternatingEngine::new(p).solve();
+    assert_eq!(again.stages, modular.stages, "{context}");
+    for &a in p.atoms() {
+        let v = modular.value(a);
+        assert_eq!(again.value(a), v, "{context}: value of {a:?}");
+        assert_eq!(
+            again.stage_of(a),
+            modular.stage_of(a),
+            "{context}: stage of {a:?}"
+        );
+        assert_eq!(wp.value(a), v, "{context}: Wp value of {a:?}");
+        assert_eq!(alt.value(a), v, "{context}: Alternating value of {a:?}");
+    }
+    assert_eq!(again.stats, modular.stats, "{context}");
+    assert_eq!(
+        again.memo.as_ref().unwrap().fingerprints,
+        modular.memo.as_ref().unwrap().fingerprints,
+        "{context}"
+    );
+}
+
+/// Full pipeline on one universe: a second modular solve (every atom is
+/// already interned) reproduces the first exactly — segment atoms in
+/// `SegAtomId` order with depths and levels, rule instances, ground
+/// program, values and decision stages — and the `Wp` and `Alternating`
+/// solves agree on every segment atom's value.
+fn assert_engines_agree_exactly(
+    u: &mut Universe,
+    db: &wfdatalog::Database,
+    sigma: &wfdatalog::SkolemProgram,
+    options: WfsOptions,
+    context: &str,
+) {
+    let first = solve(SolveRequest::new(u, db, sigma, options)).model;
+    let again = solve(SolveRequest::new(u, db, sigma, options)).model;
+    assert_eq!(again.exact, first.exact, "{context}");
+    assert_eq!(again.counts(), first.counts(), "{context}");
+    assert_eq!(
+        again.segment.atoms().len(),
+        first.segment.atoms().len(),
+        "{context}"
+    );
+    for (x, y) in again.segment.atoms().iter().zip(first.segment.atoms()) {
+        assert_eq!(
+            (x.atom, x.depth, x.level),
+            (y.atom, y.depth, y.level),
+            "{context}: segment atom order"
+        );
+    }
+    let iids: Vec<_> = first.segment.instance_ids().collect();
+    assert_eq!(
+        again.segment.instance_ids().count(),
+        iids.len(),
+        "{context}"
+    );
+    for iid in iids {
+        let (x, y) = (again.segment.instance(iid), first.segment.instance(iid));
+        assert_eq!(
+            (x.src_rule, x.guard_atom, x.head, &x.pos, &x.neg),
+            (y.src_rule, y.guard_atom, y.head, &y.pos, &y.neg),
+            "{context}: instance {iid:?}"
+        );
+    }
+    assert_eq!(
+        again.ground.num_atoms(),
+        first.ground.num_atoms(),
+        "{context}"
+    );
+    assert_eq!(
+        again.ground.num_rules(),
+        first.ground.num_rules(),
+        "{context}"
+    );
+    let others: Vec<_> = [EngineKind::Wp, EngineKind::Alternating]
+        .into_iter()
+        .map(|engine| {
+            let req = SolveRequest::new(u, db, sigma, options.with_engine(engine));
+            (engine, solve(req).model)
+        })
+        .collect();
+    for sa in first.segment.atoms() {
+        let v = first.value(sa.atom);
+        assert_eq!(
+            again.value(sa.atom),
+            v,
+            "{context}: atom {}",
+            u.display_atom(sa.atom)
+        );
+        assert_eq!(
+            again.result.stage_of(sa.atom),
+            first.result.stage_of(sa.atom),
+            "{context}: stage of {}",
+            u.display_atom(sa.atom)
+        );
+        for (engine, other) in &others {
+            assert_eq!(
+                other.value(sa.atom),
+                v,
+                "{context}: {engine:?} on {}",
+                u.display_atom(sa.atom)
+            );
+        }
+    }
+}
+
+/// Win–move graphs with draw cycles: 12 seeds, every one with genuinely
+/// three-valued components.
+#[test]
+fn engines_agree_exactly_on_winmove_draw_graphs() {
+    let mut saw_unknowns = false;
+    for seed in 0..12u64 {
+        let mut u = Universe::new();
+        let sigma = winmove_sigma(&mut u);
+        let db = winmove_database(
+            &mut u,
+            &WinMoveConfig {
+                nodes: 96,
+                out_degree: 2.0,
+                forward_bias: 0.5,
+                seed,
+            },
+        );
+        let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+        let model = solve(req).model;
+        saw_unknowns |= model.counts().2 > 0;
+        let context = format!("winmove seed {seed}");
+        assert_ground_engines_agree_exactly(&model.ground, &context);
+        assert_engines_agree_exactly(&mut u, &db, &sigma, WfsOptions::unbounded(), &context);
+    }
+    assert!(saw_unknowns, "the seeds must include draw cycles");
+}
+
+/// Random guarded Datalog± workloads (existentials, depth-bounded chase):
+/// the ground programs the engine meets in production.
+#[test]
+fn engines_agree_exactly_on_random_guarded_workloads() {
+    for seed in 0..12u64 {
+        let mut u = Universe::new();
+        let cfg = RandomConfig {
+            seed,
+            num_rules: 12,
+            negation_prob: 0.6,
+            existential_prob: 0.25,
+            ..Default::default()
+        };
+        let w = random_program(&mut u, &cfg);
+        let db = random_database(
+            &mut u,
+            &w,
+            &RandomDbConfig {
+                seed: seed ^ 0xFF,
+                ..Default::default()
+            },
+        );
+        assert_engines_agree_exactly(
+            &mut u,
+            &db,
+            &w.sigma,
+            WfsOptions::depth(5),
+            &format!("guarded seed {seed}"),
+        );
+    }
+}
+
+/// The chain and fanout workloads: thousands of shallow components.
+#[test]
+fn engines_agree_exactly_on_wide_condensations() {
+    for seeds in [32usize, 96] {
+        let mut u = Universe::new();
+        let sigma = example4_sigma(&mut u);
+        let db = chain_database(&mut u, seeds);
+        assert_engines_agree_exactly(
+            &mut u,
+            &db,
+            &sigma,
+            WfsOptions::depth(6),
+            &format!("chain({seeds})"),
+        );
+    }
+    for seed in [1u64, 2, 3, 4, 5, 6] {
+        let mut u = Universe::new();
+        let sigma = fanout_sigma(&mut u);
+        let db = fanout_database(
+            &mut u,
+            &FanoutConfig {
+                groups: 256,
+                recursive_fraction: 0.3,
+                seed,
+            },
+        );
+        assert_engines_agree_exactly(
+            &mut u,
+            &db,
+            &sigma,
+            WfsOptions::unbounded(),
+            &format!("fanout seed {seed}"),
+        );
+    }
+}
+
+/// The modular engine reports component stats (serial: one thread); the
+/// global engines report none and agree with it.
+#[test]
+fn global_engines_agree_with_modular_and_report_no_stats() {
+    let mut u = Universe::new();
+    let sigma = winmove_sigma(&mut u);
+    let db = winmove_database(&mut u, &WinMoveConfig::default());
+    let req = SolveRequest::new(&mut u, &db, &sigma, WfsOptions::unbounded());
+    let modular = solve(req).model;
+    let options = WfsOptions::unbounded().with_engine(EngineKind::Wp);
+    let wp = solve(SolveRequest::new(&mut u, &db, &sigma, options)).model;
+    for sa in modular.segment.atoms() {
+        assert_eq!(modular.value(sa.atom), wp.value(sa.atom));
+    }
+    assert_eq!(modular.result.stats.unwrap().threads, 1);
+    assert!(wp.result.stats.is_none(), "global engines report no stats");
+}
+
+/// Truth sanity on a known workload, for every engine.
+#[test]
+fn path_win_values_are_exact() {
+    for engine in [EngineKind::Modular, EngineKind::Wp, EngineKind::Alternating] {
+        let mut u = Universe::new();
+        let sigma = winmove_sigma(&mut u);
+        let db = wfdl_gen::winmove_path(&mut u, 5);
+        let options = WfsOptions::unbounded().with_engine(engine);
+        let model = solve(SolveRequest::new(&mut u, &db, &sigma, options)).model;
+        let win = u.lookup_pred("win").unwrap();
+        let value = |i: usize| {
+            let n = u.lookup_constant(&format!("n{i}")).unwrap();
+            u.atoms
+                .lookup(win, &[n])
+                .map_or(Truth::False, |a| model.value(a))
+        };
+        assert_eq!(value(4), Truth::False, "{engine:?}");
+        assert_eq!(value(3), Truth::True, "{engine:?}");
+        assert_eq!(value(2), Truth::False, "{engine:?}");
+        assert_eq!(value(1), Truth::True, "{engine:?}");
+        assert_eq!(value(0), Truth::False, "{engine:?}");
     }
 }

@@ -3,7 +3,7 @@
 //! Every injection point (chase round boundary, chase merge phase, WFS
 //! component ordinal, incremental resume boundary) is driven with every
 //! fault kind (simulated deadline / memory / cancellation trips, and a
-//! hard panic) at 1/2/4/8 worker threads. The contract under test:
+//! hard panic). The contract under test:
 //!
 //! * a **trip** yields a usable truncated model — `SolveOutcome` reports
 //!   the exact reason, queries still answer, and every verdict is a sound
@@ -39,8 +39,6 @@ const SRC: &str = r#"
 /// Delta used by the resume-boundary sites.
 const DELTA: &str = "e\tn4\tn5\nmove\tn4\tn5\n";
 
-const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
 const TRIP_KINDS: [(FaultKind, TruncationReason); 3] = [
     (FaultKind::TripDeadline, TruncationReason::Deadline),
     (FaultKind::TripMem, TruncationReason::MemBudget),
@@ -55,10 +53,6 @@ fn sites() -> Vec<FaultSite> {
         FaultSite::WfsComponent(0),
         FaultSite::WfsComponent(3),
     ]
-}
-
-fn options(threads: usize) -> WfsOptions {
-    WfsOptions::unbounded().with_threads(threads)
 }
 
 fn kb(with_delta: bool) -> KnowledgeBase {
@@ -104,9 +98,9 @@ fn true_lines(model: &SolvedModel) -> std::collections::BTreeSet<String> {
 }
 
 /// The uninterrupted reference for a given fact set.
-fn reference(with_delta: bool, threads: usize) -> (String, String, Vec<String>) {
+fn reference(with_delta: bool) -> (String, String, Vec<String>) {
     let model = kb(with_delta)
-        .with_options(options(threads))
+        .with_options(WfsOptions::unbounded())
         .try_solve()
         .unwrap();
     assert!(model.outcome().is_complete(), "reference must be complete");
@@ -116,70 +110,35 @@ fn reference(with_delta: bool, threads: usize) -> (String, String, Vec<String>) 
 /// Trip kinds: truncated-but-usable model, then bit-identical recovery.
 #[test]
 fn every_trip_site_degrades_soundly_and_recovers() {
-    for threads in THREAD_COUNTS {
-        let reference_obs = reference(false, threads);
-        let reference_true: std::collections::BTreeSet<String> =
-            reference_obs.0.lines().map(|l| l.to_string()).collect();
-        for site in sites() {
-            for (kind, reason) in TRIP_KINDS {
-                let label = format!("{site:?}/{kind:?}/threads={threads}");
-                let mut kb = kb(false).with_options(options(threads));
-                kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan { site, kind }));
-                let truncated = kb
-                    .try_solve()
-                    .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
-                assert_eq!(
-                    truncated.outcome().truncation(),
-                    Some(reason),
-                    "{label}: outcome must carry the injected reason"
-                );
-                assert!(truncated.under_approximate(), "{label}");
-                // Soundness: every certain atom of the truncated model is
-                // certain in the uninterrupted model.
-                for line in true_lines(&truncated) {
-                    assert!(
-                        reference_true.contains(&line),
-                        "{label}: {line} is certain only under truncation"
-                    );
-                }
-                // Queries still answer (and stay sound).
-                let q = truncated.prepare("?(X) win(X).").unwrap();
-                let _ = truncated.answers_prepared(&q);
-                // Recovery: clearing the budget re-solves bit-identically.
-                kb.set_solve_budget(SolveBudget::unlimited());
-                let recovered = kb
-                    .try_solve()
-                    .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
-                assert!(recovered.outcome().is_complete(), "{label}");
-                assert_eq!(
-                    observe(&recovered),
-                    reference_obs,
-                    "{label}: recovery must be bit-identical to a fresh solve"
+    let reference_obs = reference(false);
+    let reference_true: std::collections::BTreeSet<String> =
+        reference_obs.0.lines().map(|l| l.to_string()).collect();
+    for site in sites() {
+        for (kind, reason) in TRIP_KINDS {
+            let label = format!("{site:?}/{kind:?}");
+            let mut kb = kb(false).with_options(WfsOptions::unbounded());
+            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan { site, kind }));
+            let truncated = kb
+                .try_solve()
+                .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
+            assert_eq!(
+                truncated.outcome().truncation(),
+                Some(reason),
+                "{label}: outcome must carry the injected reason"
+            );
+            assert!(truncated.under_approximate(), "{label}");
+            // Soundness: every certain atom of the truncated model is
+            // certain in the uninterrupted model.
+            for line in true_lines(&truncated) {
+                assert!(
+                    reference_true.contains(&line),
+                    "{label}: {line} is certain only under truncation"
                 );
             }
-        }
-    }
-}
-
-/// Panic kind: `Error::EnginePanic` at the boundary, KB stays reusable.
-#[test]
-fn every_panic_site_is_contained_and_recoverable() {
-    for threads in THREAD_COUNTS {
-        let reference_obs = reference(false, threads);
-        for site in sites() {
-            let label = format!("{site:?}/Panic/threads={threads}");
-            let mut kb = kb(false).with_options(options(threads));
-            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
-                site,
-                kind: FaultKind::Panic,
-            }));
-            match kb.try_solve() {
-                Err(wfdatalog::Error::EnginePanic(msg)) => {
-                    assert!(msg.contains("injected fault"), "{label}: {msg}");
-                }
-                Err(other) => panic!("{label}: wrong error: {other}"),
-                Ok(_) => panic!("{label}: panic must not produce a model"),
-            }
+            // Queries still answer (and stay sound).
+            let q = truncated.prepare("?(X) win(X).").unwrap();
+            let _ = truncated.answers_prepared(&q);
+            // Recovery: clearing the budget re-solves bit-identically.
             kb.set_solve_budget(SolveBudget::unlimited());
             let recovered = kb
                 .try_solve()
@@ -194,56 +153,85 @@ fn every_panic_site_is_contained_and_recoverable() {
     }
 }
 
+/// Panic kind: `Error::EnginePanic` at the boundary, KB stays reusable.
+#[test]
+fn every_panic_site_is_contained_and_recoverable() {
+    let reference_obs = reference(false);
+    for site in sites() {
+        let label = format!("{site:?}/Panic");
+        let mut kb = kb(false).with_options(WfsOptions::unbounded());
+        kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+            site,
+            kind: FaultKind::Panic,
+        }));
+        match kb.try_solve() {
+            Err(wfdatalog::Error::EnginePanic(msg)) => {
+                assert!(msg.contains("injected fault"), "{label}: {msg}");
+            }
+            Err(other) => panic!("{label}: wrong error: {other}"),
+            Ok(_) => panic!("{label}: panic must not produce a model"),
+        }
+        kb.set_solve_budget(SolveBudget::unlimited());
+        let recovered = kb
+            .try_solve()
+            .unwrap_or_else(|e| panic!("{label}: recovery failed: {e}"));
+        assert!(recovered.outcome().is_complete(), "{label}");
+        assert_eq!(
+            observe(&recovered),
+            reference_obs,
+            "{label}: recovery must be bit-identical to a fresh solve"
+        );
+    }
+}
+
 /// Resume-boundary sites: cancel (or panic) in the middle of an
 /// incremental re-solve must leave memo and fingerprints uncorrupted —
 /// the recovered solve is bit-identical to a fresh KB over the union.
 #[test]
 fn resume_boundary_faults_leave_incremental_state_clean() {
-    for threads in THREAD_COUNTS {
-        let union_obs = reference(true, threads);
-        for (kind, reason) in TRIP_KINDS {
-            let label = format!("ResumeBoundary/{kind:?}/threads={threads}");
-            let mut kb = kb(false).with_options(options(threads));
-            let base = kb.try_solve().unwrap();
-            assert!(base.outcome().is_complete());
-            kb.insert_tsv(DELTA).unwrap();
-            kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
-                site: FaultSite::ResumeBoundary,
-                kind,
-            }));
-            let truncated = kb
-                .try_solve()
-                .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
-            assert_eq!(truncated.outcome().truncation(), Some(reason), "{label}");
-            kb.set_solve_budget(SolveBudget::unlimited());
-            let recovered = kb.try_solve().unwrap();
-            assert!(recovered.outcome().is_complete(), "{label}");
-            assert_eq!(
-                observe(&recovered),
-                union_obs,
-                "{label}: post-trip incremental state must not be corrupted"
-            );
-        }
-        // Panic during the resume: delta is restored, next solve re-chases
-        // from scratch and still lands on the union model bit-for-bit.
-        let label = format!("ResumeBoundary/Panic/threads={threads}");
-        let mut kb = kb(false).with_options(options(threads));
-        kb.try_solve().unwrap();
+    let union_obs = reference(true);
+    for (kind, reason) in TRIP_KINDS {
+        let label = format!("ResumeBoundary/{kind:?}");
+        let mut kb = kb(false).with_options(WfsOptions::unbounded());
+        let base = kb.try_solve().unwrap();
+        assert!(base.outcome().is_complete());
         kb.insert_tsv(DELTA).unwrap();
         kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
             site: FaultSite::ResumeBoundary,
-            kind: FaultKind::Panic,
+            kind,
         }));
-        match kb.try_solve() {
-            Err(wfdatalog::Error::EnginePanic(_)) => {}
-            Err(other) => panic!("{label}: wrong error: {other}"),
-            Ok(_) => panic!("{label}: panic must not produce a model"),
-        }
+        let truncated = kb
+            .try_solve()
+            .unwrap_or_else(|e| panic!("{label}: trip must not error: {e}"));
+        assert_eq!(truncated.outcome().truncation(), Some(reason), "{label}");
         kb.set_solve_budget(SolveBudget::unlimited());
         let recovered = kb.try_solve().unwrap();
         assert!(recovered.outcome().is_complete(), "{label}");
-        assert_eq!(observe(&recovered), union_obs, "{label}");
+        assert_eq!(
+            observe(&recovered),
+            union_obs,
+            "{label}: post-trip incremental state must not be corrupted"
+        );
     }
+    // Panic during the resume: delta is restored, next solve re-chases
+    // from scratch and still lands on the union model bit-for-bit.
+    let label = "ResumeBoundary/Panic";
+    let mut kb = kb(false).with_options(WfsOptions::unbounded());
+    kb.try_solve().unwrap();
+    kb.insert_tsv(DELTA).unwrap();
+    kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+        site: FaultSite::ResumeBoundary,
+        kind: FaultKind::Panic,
+    }));
+    match kb.try_solve() {
+        Err(wfdatalog::Error::EnginePanic(_)) => {}
+        Err(other) => panic!("{label}: wrong error: {other}"),
+        Ok(_) => panic!("{label}: panic must not produce a model"),
+    }
+    kb.set_solve_budget(SolveBudget::unlimited());
+    let recovered = kb.try_solve().unwrap();
+    assert!(recovered.outcome().is_complete(), "{label}");
+    assert_eq!(observe(&recovered), union_obs, "{label}");
 }
 
 /// A structural-cap truncation (`max_atoms`) is not resumable; the next
@@ -252,7 +240,7 @@ fn resume_boundary_faults_leave_incremental_state_clean() {
 #[test]
 fn cap_truncated_segment_falls_back_to_full_rechase() {
     // Tiny atom cap: the chase peters out mid-way with `AtomCap`.
-    let opts = WfsOptions::unbounded().with_threads(1);
+    let opts = WfsOptions::unbounded();
     let mut capped = opts;
     capped.budget = capped.budget.with_max_atoms(4);
     let mut kb = kb(false).with_options(capped);
@@ -272,5 +260,5 @@ fn cap_truncated_segment_falls_back_to_full_rechase() {
     let mut kb = kb.with_options(opts);
     let full = kb.try_solve().unwrap();
     assert!(full.outcome().is_complete());
-    assert_eq!(observe(&full), reference(true, 1));
+    assert_eq!(observe(&full), reference(true));
 }

@@ -111,10 +111,7 @@ fn chase_allocations(seeds: usize) -> (usize, usize) {
     let mut u = Universe::new();
     let sigma = example4_sigma(&mut u);
     let db = chain_database(&mut u, seeds);
-    let budget = ChaseBudget {
-        threads: 1,
-        ..ChaseBudget::depth(8)
-    };
+    let budget = ChaseBudget::depth(8);
     let (segment, allocations) = counted(|| ChaseSegment::build(&mut u, &db, &sigma, budget));
     (allocations, segment.num_instances())
 }

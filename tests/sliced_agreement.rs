@@ -218,7 +218,7 @@ fn random_stratified_slices_agree() {
 }
 
 #[test]
-fn sliced_agreement_is_thread_count_invariant() {
+fn half_recursive_fanout_slices_agree() {
     let mut u = Universe::new();
     let sigma = fanout_sigma(&mut u);
     let db = fanout_database(
@@ -230,15 +230,7 @@ fn sliced_agreement_is_thread_count_invariant() {
         },
     );
     let out = u.lookup_pred("out").unwrap();
-    for threads in [1, 2, 4] {
-        assert_slices_agree(
-            &u,
-            &db,
-            &sigma,
-            WfsOptions::unbounded().with_threads(threads),
-            &[vec![out]],
-        );
-    }
+    assert_slices_agree(&u, &db, &sigma, WfsOptions::unbounded(), &[vec![out]]);
 }
 
 proptest! {
@@ -457,44 +449,37 @@ fn sliced_solve_after_tripped_and_resumed_solves_matches_fresh() {
         let slice = ProgramSlice::compute(kb.universe().num_preds(), kb.sigma(), &goals);
         verdicts_over(model.universe(), model.model(), &slice.pred_mask)
     }
-    for threads in [1, 2, 8] {
-        let mut fresh = KnowledgeBase::from_source(FACADE_RULES)
-            .unwrap()
-            .with_threads(threads);
-        fresh.insert_tsv("edge\tc\td\n").unwrap();
-        let reference = fresh.solve();
+    let mut fresh = KnowledgeBase::from_source(FACADE_RULES).unwrap();
+    fresh.insert_tsv("edge\tc\td\n").unwrap();
+    let reference = fresh.solve();
 
-        let mut kb = KnowledgeBase::from_source(FACADE_RULES)
-            .unwrap()
-            .with_threads(threads);
-        assert!(kb.solve().outcome().is_complete());
-        kb.insert_tsv("edge\tc\td\n").unwrap();
-        kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
-            site: FaultSite::ResumeBoundary,
-            kind: FaultKind::TripCancel,
-        }));
-        let truncated = kb.solve();
-        assert_eq!(
-            truncated.outcome().truncation(),
-            Some(wfdatalog::TruncationReason::Cancelled),
-            "threads {threads}: the trip must truncate the resumed solve"
-        );
-        kb.set_solve_budget(SolveBudget::unlimited());
-        let resumed = kb.solve();
-        assert!(resumed.outcome().is_complete(), "threads {threads}");
-        assert!(resumed.solve_stats().incremental, "threads {threads}");
+    let mut kb = KnowledgeBase::from_source(FACADE_RULES).unwrap();
+    assert!(kb.solve().outcome().is_complete());
+    kb.insert_tsv("edge\tc\td\n").unwrap();
+    kb.set_solve_budget(SolveBudget::unlimited().with_fault(FaultPlan {
+        site: FaultSite::ResumeBoundary,
+        kind: FaultKind::TripCancel,
+    }));
+    let truncated = kb.solve();
+    assert_eq!(
+        truncated.outcome().truncation(),
+        Some(wfdatalog::TruncationReason::Cancelled),
+        "the trip must truncate the resumed solve"
+    );
+    kb.set_solve_budget(SolveBudget::unlimited());
+    let resumed = kb.solve();
+    assert!(resumed.outcome().is_complete());
+    assert!(resumed.solve_stats().incremental);
 
-        let sliced = kb.solve_for(QUERY).unwrap();
-        let stats = sliced.solve_stats();
-        assert!(stats.sliced, "threads {threads}");
-        assert!(
-            stats.components_reused > 0,
-            "threads {threads}: the memo from the resumed model must be used: {stats:?}"
-        );
-        assert_eq!(
-            in_slice_verdicts(&kb, &sliced),
-            in_slice_verdicts(&fresh, &reference),
-            "threads {threads}"
-        );
-    }
+    let sliced = kb.solve_for(QUERY).unwrap();
+    let stats = sliced.solve_stats();
+    assert!(stats.sliced);
+    assert!(
+        stats.components_reused > 0,
+        "the memo from the resumed model must be used: {stats:?}"
+    );
+    assert_eq!(
+        in_slice_verdicts(&kb, &sliced),
+        in_slice_verdicts(&fresh, &reference)
+    );
 }
